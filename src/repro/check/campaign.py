@@ -22,7 +22,9 @@ can see:
   chain (client -> front -> shard -> worker) and comes back on the
   response;
 * **drain-clean** — after the faults are healed the fleet converges
-  back to ready (recovered shards reinstated, cache reachable).
+  back to ready (recovered shards reinstated, cache reachable);
+* **oracle-durable** — every pin-oracle verdict a live shard's store
+  holds reloads from that shard's store file, torn tails included.
 
 Failing cases are greedily shrunk — fewer requests, fewer fault
 events, a smaller design (reusing the fuzz shrinker for random
@@ -47,9 +49,11 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import jsonl
 from repro.check.faults import (FaultEvent, FaultInjector,
-                                generate_events)
+                                _append_bytes, generate_events)
 from repro.check.fuzz import FuzzCase, _shrink_candidates
+from repro.core.oracle_store import OracleStore, activate, get_active
 from repro.errors import ReproError
 
 #: Named kernels the campaign mixes in with random designs.  ``fir``
@@ -190,6 +194,7 @@ class CampaignHarness:
 
     ``mode="serve"``: cache server + one thread-pool service.
     ``mode="cluster"``: cache server + two shards + front tier.
+    Each shard keeps its pin-oracle store in a file in the temp dir.
     Context manager; restartable components come back on their
     original ports (rolling-restart style), so the client's target
     address is stable for the whole campaign.
@@ -212,6 +217,7 @@ class CampaignHarness:
         self.shards: List[Any] = []
         self.front = None
         self._storm_seq = 0
+        self._active_oracle = None
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "CampaignHarness":
@@ -220,6 +226,7 @@ class CampaignHarness:
                                    ThreadedFrontTier)
         from repro.explore.cache import ResultCache
 
+        self._active_oracle = get_active()
         self.cache_dir = tempfile.TemporaryDirectory(
             prefix="repro-campaign-")
         self.cache_file = f"{self.cache_dir.name}/cache.jsonl"
@@ -246,6 +253,9 @@ class CampaignHarness:
             if shard is not None:
                 shard.stop()
         self.shards = []
+        # Shards activate their oracle stores process-wide and stop out
+        # of order; do not leave one (and its temp file) active.
+        activate(self._active_oracle)
         if self.cache is not None:
             self.cache.stop()
             self.cache = None
@@ -260,6 +270,7 @@ class CampaignHarness:
             port=port, workers=2, max_queue=8, pool_mode="thread",
             cache_sync=False,
             cache_path=f"remote://{self.host}:{self.cache_port}",
+            oracle_path=f"{self.cache_dir.name}/oracle-{index}.jsonl",
             job_runner=self.runner,
             default_timeout_ms=self.timeout_ms,
             shard=ShardIdentity(f"shard-{index}", index,
@@ -311,6 +322,32 @@ class CampaignHarness:
             ResultCache(self.cache_file, sync=False),
             port=self.cache_port).start()
         return True
+
+    def tear_oracle_files(self, fragment: bytes) -> None:
+        """Torn tail on each live shard's oracle file, made under the
+        store's lock: a crash tears between appends, never inside one."""
+        for shard in self.shards:
+            if shard is not None:
+                store = shard.service.oracle
+                with store._lock:
+                    _append_bytes(store.path, fragment)
+
+    def oracle_violations(self) -> List[str]:
+        """Each verdict a live shard's oracle store holds must reload
+        from its file (under the lock: none is mid-append)."""
+        problems = []
+        for index, shard in enumerate(self.shards):
+            if shard is None:
+                continue
+            store = shard.service.oracle
+            with store._lock:
+                on_disk = dict(OracleStore(store.path).items())
+                lost = [v for key, bucket in store.items()
+                        for v in bucket if v not in on_disk.get(key, ())]
+            if lost:
+                problems.append(f"oracle-durable: shard-{index} file "
+                                f"lost {len(lost)} verdict(s) on reload")
+        return problems
 
     def storm(self, count: int) -> None:
         """Rapid no-wait filler submissions to provoke 429 sheds.
@@ -496,6 +533,9 @@ def run_campaign_case(case: CampaignCase, harness: CampaignHarness,
 
     # -- trace-propagation --------------------------------------------
     result.violations.extend(_trace_probe(harness, case))
+
+    # -- oracle-durable ------------------------------------------------
+    result.violations.extend(harness.oracle_violations())
     return result
 
 
@@ -591,30 +631,24 @@ def _campaign_shrink_candidates(case: CampaignCase):
 def load_campaign_corpus(path: Optional[str]) -> List[CampaignCase]:
     if not path:
         return []
-    cases: List[CampaignCase] = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                    cases.append(CampaignCase.from_dict(
-                        data.get("case", data)))
-                except (ValueError, KeyError, TypeError):
-                    continue
+        entries = jsonl.read(path)[0]
     except OSError:
         return []
+    cases: List[CampaignCase] = []
+    for entry in entries:
+        try:
+            cases.append(CampaignCase.from_dict(
+                entry.get("case", entry)))
+        except (AttributeError, ValueError, KeyError, TypeError):
+            continue
     return cases
 
 
 def append_campaign_corpus(path: str,
                            result: CampaignCaseResult) -> None:
-    entry = {"case": result.case.to_dict(),
-             "signature": result.signature()}
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    jsonl.append(path, {"case": result.case.to_dict(),
+                        "signature": result.signature()})
 
 
 # ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 SERVE_KINDS = (
     "cache-kill",     # stop the shared cache server
     "cache-revive",   # bring it back on the same port
-    "cache-torn",     # simulate a crash mid-append: torn last line
+    "cache-torn",     # crash mid-append: torn cache + oracle tails
     "cache-corrupt",  # append a whole corrupt JSONL line
     "client-delay",   # stall before the next request (arg = ms)
     "client-drop",    # open a connection, send garbage, hang up
@@ -92,6 +92,8 @@ class FaultInjector:
     * ``kill_shard(i)`` / ``restart_shard(i)`` — no-ops in serve mode
     * ``kill_cache()`` / ``revive_cache()``
     * ``cache_file`` — backing JSONL path of the cache server
+    * ``tear_oracle_files(fragment)`` — torn tail on every shard's
+      pin-oracle store file
     * ``host`` / ``port`` — the front door clients talk to
     * ``storm(n)`` — fire ``n`` rapid no-wait filler submissions
     """
@@ -142,6 +144,7 @@ class FaultInjector:
         elif event.kind == "cache-torn":
             _append_bytes(h.cache_file,
                           b'{"v": 1, "key": "torn", "record":')
+            h.tear_oracle_files(b'{"budgets":[1],"fp":[],"group":')
         elif event.kind == "cache-corrupt":
             _append_bytes(h.cache_file, b"not json at all\n")
         elif event.kind == "client-drop":

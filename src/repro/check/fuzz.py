@@ -14,11 +14,11 @@ preserved, then appended to a replayable JSONL corpus.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro import jsonl
 from repro.check.oracle import OracleReport, run_differential
 from repro.designs.random_designs import random_partitioned_design
 from repro.errors import ReproError
@@ -260,24 +260,20 @@ def _run_into(report: FuzzReport, case: FuzzCase,
 
 # ---------------------------------------------------------------------
 def append_corpus(path: str, result: CaseResult) -> None:
-    entry = dict(result.case.to_dict(), signature=result.signature())
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    jsonl.append(path, dict(result.case.to_dict(),
+                            signature=result.signature()))
 
 
 def load_corpus(path: str) -> List[FuzzCase]:
     """Load a JSONL corpus, skipping blank or corrupt lines."""
-    cases: List[FuzzCase] = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    cases.append(FuzzCase.from_dict(json.loads(line)))
-                except (ValueError, TypeError):
-                    continue
+        entries = jsonl.read(path)[0]
     except FileNotFoundError:
         return []
+    cases: List[FuzzCase] = []
+    for entry in entries:
+        try:
+            cases.append(FuzzCase.from_dict(entry))
+        except (ValueError, TypeError):
+            continue
     return cases

@@ -20,8 +20,8 @@ a shareable :class:`OracleStore`:
   component-wise smaller-or-equal vector implies feasible; an
   infeasibility proof at a component-wise larger-or-equal vector
   implies infeasible.  Many neighbor-point queries need no ILP at all;
-* **JSONL persistence** in the same append-only, corrupt-line-tolerant
-  format as the explorer's :class:`repro.explore.cache.ResultCache`;
+* **JSONL persistence** under the :mod:`repro.jsonl` contract, like
+  the explorer's :class:`repro.explore.cache.ResultCache`;
 * **cross-process deltas** — forked pool workers inherit the parent's
   store (see :func:`activate`), record into memory only, and ship the
   appended suffix back via :meth:`delta_since` for the parent to
@@ -36,11 +36,11 @@ would poison a shared store; the checker keeps those to itself.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro import jsonl
 from repro.perf import PERF
 
 #: Store line format version.
@@ -102,10 +102,8 @@ class OracleStore:
     record in memory and return deltas, the parent owns the file.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 sync: bool = False) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.sync = bool(sync)
         self._lock = threading.RLock()
         #: key -> list of (budget vector, verdict, witness-or-None),
         #: append order.  The witness is the pin-usage vector of the
@@ -124,33 +122,17 @@ class OracleStore:
         self.misses = 0
         self.corrupt_lines = 0
         if path is not None and os.path.exists(path):
-            self._load(path)
-
-    # -- persistence ---------------------------------------------------
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+            entries, self.corrupt_lines = jsonl.read(path, STORE_VERSION)
+            for entry in entries:
                 try:
-                    entry = json.loads(line)
-                    if entry.get("v") != STORE_VERSION:
-                        raise ValueError("version mismatch")
                     self._insert(entry, log=False)
                 except (ValueError, KeyError, TypeError):
                     self.corrupt_lines += 1
 
-    def _append_line(self, entry: Dict[str, Any]) -> None:
+    def _persist(self, entry: Dict[str, Any]) -> None:
         if self.path is None or os.getpid() != self._pid:
             return  # forked children never write the parent's file
-        line = json.dumps(dict(entry, v=STORE_VERSION),
-                          separators=(",", ":"), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            if self.sync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        jsonl.append(self.path, dict(entry, v=STORE_VERSION))
 
     # -- entry plumbing ------------------------------------------------
     @staticmethod
@@ -235,7 +217,7 @@ class OracleStore:
             entry["witness"] = [int(w) for w in witness]
         with self._lock:
             if self._insert(entry, log=True):
-                self._append_line(entry)
+                self._persist(entry)
 
     # -- cross-process aggregation -------------------------------------
     def mark(self) -> int:
@@ -265,7 +247,7 @@ class OracleStore:
                     self.corrupt_lines += 1
                     continue
                 if fresh:
-                    self._append_line(self._log[-1])
+                    self._persist(self._log[-1])
                     added += 1
         return added
 

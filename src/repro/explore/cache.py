@@ -6,15 +6,13 @@ re-runs and overlapping sweeps skip any point whose key is already
 present, which is what makes iterating on a sweep spec cheap (only the
 new corner of the grid is synthesized).
 
-Robustness rules:
+The file follows the :mod:`repro.jsonl` contract.  On top of it:
 
-* loading tolerates corrupt or truncated lines (a killed run can leave
-  a partial last line) — bad lines are counted, not fatal;
+* a line also needs ``key`` and ``record``, else it counts as corrupt;
+  the last line for a key wins;
 * only *completed* records (``ok`` / ``degraded``) are persisted:
   ``error`` and ``budget_exhausted`` outcomes depend on the carved
   deadline of that particular run and must be retried, not replayed;
-* writes are single ``O_APPEND`` lines in canonical form, so two
-  explorer processes sharing a cache file interleave whole records;
 * ``sync=True`` (opt-in; the synthesis service uses it) fsyncs every
   append, so an acknowledged write survives a killed process — the
   default stays buffered because sweep re-runs can always re-solve;
@@ -27,12 +25,11 @@ Robustness rules:
 from __future__ import annotations
 
 import copy
-import json
 import os
 import threading
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.io_json import canonical_dumps
+from repro import jsonl
 
 #: Record line format version.
 CACHE_VERSION = 1
@@ -43,20 +40,6 @@ REMOTE_SCHEME = "remote://"
 
 #: Statuses worth persisting (see module docstring).
 CACHEABLE_STATUSES = ("ok", "degraded")
-
-
-def _ends_mid_line(path: str) -> bool:
-    """Whether the file exists, is non-empty, and its last byte is
-    not a newline — i.e. the tail is a torn (crash-truncated) line."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() == 0:
-                return False
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
-    except OSError:
-        return False
 
 
 class ResultCache:
@@ -74,29 +57,23 @@ class ResultCache:
         self.misses = 0
         self.corrupt_lines = 0
         if path is not None and os.path.exists(path):
-            self._index = self._read_file(path)
+            self._index = self._read_index(path)[0]
 
     # ------------------------------------------------------------------
-    def _read_file(self, path: str) -> Dict[str, Dict[str, Any]]:
-        """Parse the JSON-lines file; last write wins per key."""
+    def _read_index(self, path: str
+                    ) -> Tuple[Dict[str, Dict[str, Any]], int]:
+        """The file's index (last write wins per key) and its non-blank
+        line count; bad lines are added to ``corrupt_lines``."""
+        entries, skipped = jsonl.read(path, CACHE_VERSION)
+        lines = len(entries) + skipped
         index: Dict[str, Dict[str, Any]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = entry["key"]
-                    record = entry["record"]
-                    if entry.get("v") != CACHE_VERSION:
-                        raise ValueError("version mismatch")
-                except (ValueError, KeyError, TypeError):
-                    self.corrupt_lines += 1
-                    continue
-                # Last write wins, matching append order.
-                index[key] = record
-        return index
+        for entry in entries:
+            try:
+                index[entry["key"]] = entry["record"]
+            except (KeyError, TypeError):
+                skipped += 1
+        self.corrupt_lines += skipped
+        return index, lines
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -129,20 +106,9 @@ class ResultCache:
                 return False
             self._index[key] = stored
             if self.path is not None:
-                line = canonical_dumps(
-                    {"v": CACHE_VERSION, "key": key, "record": stored})
-                # A crash mid-append leaves a torn last line with no
-                # newline; appending straight after it would weld this
-                # record onto the fragment and lose BOTH on reload.
-                # Start on a fresh line so only the torn fragment is
-                # sacrificed (the loader already skips it).
-                if _ends_mid_line(self.path):
-                    line = "\n" + line
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    if self.sync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
+                jsonl.append(self.path, {"v": CACHE_VERSION, "key": key,
+                                         "record": stored},
+                             sync=self.sync)
         return True
 
     def items(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
@@ -159,9 +125,8 @@ class ResultCache:
         lock* and merges it with the in-memory index — so records
         appended concurrently (by another thread of this process, or by
         another process sharing the file) survive with last-write-wins
-        semantics — then writes one canonical line per live entry to a
-        temp file in the same directory, fsyncs it, and
-        ``os.replace``\\ s it over the cache: readers either see the
+        semantics — then rewrites the file atomically with one line per
+        live entry (:func:`repro.jsonl.rewrite`): readers either see the
         old file or the compacted one, never a partial rewrite.
         """
         with self._lock:
@@ -182,28 +147,15 @@ class ResultCache:
             return summary
         merged: Dict[str, Dict[str, Any]] = {}
         if exists:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                summary["lines_before"] = sum(
-                    1 for line in handle if line.strip())
             # The file is the authority on concurrent appends; index
             # entries missing from it (lost file, foreign truncation)
             # are added back on top.
-            merged = self._read_file(self.path)
+            merged, summary["lines_before"] = self._read_index(self.path)
         for key, record in self._index.items():
             merged.setdefault(key, record)
-        tmp_path = f"{self.path}.compact.{os.getpid()}"
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                for key, record in merged.items():
-                    handle.write(canonical_dumps(
-                        {"v": CACHE_VERSION, "key": key,
-                         "record": record}) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+        jsonl.rewrite(self.path, ({"v": CACHE_VERSION, "key": key,
+                                   "record": record}
+                                  for key, record in merged.items()))
         self._index = merged
         self.corrupt_lines = 0
         summary["entries"] = len(merged)

@@ -5,7 +5,7 @@ explorer → service → cluster front).  Three pieces:
 
 * :mod:`repro.obs.trace` — structured spans with ambient parenting,
   deterministic sampling, a bounded ring buffer, mark/delta/merge
-  across fork workers, and an optional JSONL exporter (``TRACER``);
+  across fork workers, and an optional JSONL export (``TRACER``);
 * :mod:`repro.obs.metrics` — fixed-bucket histograms and gauges
   unified with the ``PerfRegistry`` counters (``HUB``);
 * :mod:`repro.obs.prometheus` / :mod:`repro.obs.render` — the text
@@ -40,8 +40,8 @@ from repro.obs.context import (extract_headers, extract_payload,
                                inject_headers, inject_payload)
 from repro.obs.metrics import (DEFAULT_BUCKETS_MS, HUB, Histogram,
                                MetricsHub)
-from repro.obs.trace import (TRACER, JsonlExporter, Span, SpanContext,
-                             Tracer, current_context, span)
+from repro.obs.trace import (TRACER, Span, SpanContext, Tracer,
+                             current_context, span)
 
 __all__ = [
     "TRACER",
@@ -51,7 +51,6 @@ __all__ = [
     "SpanContext",
     "MetricsHub",
     "Histogram",
-    "JsonlExporter",
     "DEFAULT_BUCKETS_MS",
     "span",
     "current_context",

@@ -17,32 +17,19 @@ Corrupt lines are counted and skipped, never fatal.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro import jsonl
 
 __all__ = ["load_spans", "build_traces", "render_trace", "render_file"]
 
 
 def load_spans(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Parse a JSONL export; returns (spans, corrupt line count)."""
-    spans: List[Dict[str, Any]] = []
-    corrupt = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                span = json.loads(line)
-            except ValueError:
-                corrupt += 1
-                continue
-            if (isinstance(span, dict) and span.get("trace_id")
-                    and span.get("span_id") and span.get("name")):
-                spans.append(span)
-            else:
-                corrupt += 1
-    return spans, corrupt
+    objs, corrupt = jsonl.read(path)
+    spans = [span for span in objs if span.get("trace_id")
+             and span.get("span_id") and span.get("name")]
+    return spans, corrupt + len(objs) - len(spans)
 
 
 class TraceTree:

@@ -16,10 +16,9 @@ monotonically increasing per-process sequence number, which gives the
 same mark/delta/merge shape as ``PerfRegistry``: a worker calls
 :meth:`mark` before the job, :meth:`spans_since` after, ships the delta
 in its result record, and the parent :meth:`merge`\\ s it into its own
-ring (and exporter).  Sampling is decided once per trace, at root-span
-creation, with a deterministic accumulator (rate 0.25 samples exactly
-every fourth root) so benchmarks and tests are reproducible without
-seeding an RNG.
+ring.  Sampling is decided once per trace, at root-span creation, with
+a deterministic accumulator (rate 0.25 samples exactly every fourth
+root) so benchmarks and tests are reproducible without seeding an RNG.
 
 The tracer is disabled by default and the disabled path is a single
 attribute check per ``span()`` call, so instrumentation can stay in hot
@@ -29,7 +28,6 @@ paths unconditionally.
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import threading
 import time
@@ -38,11 +36,12 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from repro import jsonl
+
 __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "JsonlExporter",
     "TRACER",
     "span",
     "current_context",
@@ -185,37 +184,6 @@ _CURRENT: contextvars.ContextVar[Optional[SpanContext]] = (
     contextvars.ContextVar("repro_obs_span_context", default=None))
 
 
-class JsonlExporter:
-    """Appends one JSON object per finished span to a file.
-
-    Opens lazily (so merely configuring an export path costs nothing
-    until the first sampled span) and in append mode, so several
-    processes — cluster front, shards — can share one file: each span
-    is a single ``write()`` of one line, which is atomic enough under
-    ``O_APPEND`` for the line sizes involved.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle: Optional[Any] = None
-
-    def export(self, span_dict: Dict[str, Any]) -> None:
-        line = json.dumps(span_dict, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        with self._lock:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-
 class Tracer:
     """Thread-safe span recorder with a bounded ring buffer."""
 
@@ -228,7 +196,9 @@ class Tracer:
         self._sample_acc = 0.0
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=ring_size)
         self._seq = 0
-        self.exporter: Optional[JsonlExporter] = None
+        #: JSONL file each recorded span is appended to; processes
+        #: (front, shards, pool workers) may share one.
+        self.export_path: Optional[str] = None
         self.dropped = 0
 
     # -- configuration -------------------------------------------------
@@ -245,10 +215,7 @@ class Tracer:
             if ring_size is not None:
                 self._ring = deque(self._ring, maxlen=max(1, ring_size))
             if export_path is not None:
-                if self.exporter is not None:
-                    self.exporter.close()
-                self.exporter = (JsonlExporter(export_path)
-                                 if export_path else None)
+                self.export_path = export_path or None
 
     def reset(self) -> None:
         """Clear recorded spans and sampling state (tests)."""
@@ -364,11 +331,10 @@ class Tracer:
             if len(self._ring) == self._ring.maxlen:
                 self.dropped += 1
             self._ring.append(span_dict)
-            exporter = self.exporter if export else None
-        if exporter is not None:
-            exported = dict(span_dict)
-            exported.pop("seq", None)
-            exporter.export(exported)
+            export_path = self.export_path if export else None
+        if export_path is not None:
+            jsonl.append(export_path, {k: v for k, v in span_dict.items()
+                                       if k != "seq"})
 
     # -- mark / delta / merge (mirrors PerfRegistry) -------------------
     def mark(self) -> int:
@@ -427,8 +393,7 @@ class Tracer:
                 "recorded": self._seq,
                 "buffered": len(self._ring),
                 "dropped": self.dropped,
-                "export_path": (self.exporter.path
-                                if self.exporter else None),
+                "export_path": self.export_path,
             }
 
 

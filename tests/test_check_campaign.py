@@ -259,3 +259,30 @@ class TestLiveCampaign:
         assert report.cases_run == 2
         assert seen[0].startswith("[corpus]")
         assert report.ok
+
+
+class TestOracleDurability:
+    def test_shard_oracle_files_survive_torn_tails(self):
+        from repro.core.oracle_store import OracleStore
+
+        with CampaignHarness("serve", timeout_ms=4000.0) as harness:
+            client = harness.client()
+            store = harness.shards[0].service.oracle
+            assert store.path is not None
+            # Loose budgets keep the pin ILP small (as in the probe).
+            client.synthesize("ar-simple", rate=3, pin_scale=3.0,
+                              timeout_ms=4000)
+            before = len(store)
+            assert before > 0
+            harness.tear_oracle_files(b'{"budgets":[1],"fp":')
+            client.synthesize("ar-simple", rate=3, pin_scale=3.5,
+                              timeout_ms=4000)
+            assert len(store) > before
+            assert harness.oracle_violations() == []
+            assert OracleStore(store.path).corrupt_lines == 1
+
+            # A file that lost what its store holds is reported.
+            open(store.path, "w").close()
+            problems = harness.oracle_violations()
+            assert len(problems) == 1
+            assert problems[0].startswith("oracle-durable: shard-0")

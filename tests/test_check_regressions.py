@@ -279,3 +279,45 @@ def test_read_through_replays_unshipped_puts_on_reconnect():
     finally:
         revived.stop()
         mounted.client.close()
+
+
+# ---------------------------------------------------------------------
+# The torn-line fix above lived only in ResultCache.  OracleStore and
+# the trace export appended straight after a torn last line too, so
+# the next proved verdict / finished span was welded onto the crash
+# fragment and lost on reload.  All three now append through
+# repro.jsonl, which starts on a fresh line.
+# ---------------------------------------------------------------------
+def test_oracle_store_record_survives_torn_trailing_line(tmp_path):
+    from repro.core.oracle_store import OracleStore
+
+    path = str(tmp_path / "oracle.jsonl")
+    OracleStore(path).record(("sig", (), "w", 0), (8, -1, -1), True)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"budgets": [1], "fp": [], "group":')  # no \n
+    OracleStore(path).record(("sig", (), "w", 1), (8, -1, -1), False)
+
+    reloaded = OracleStore(path)
+    assert len(reloaded) == 2, "record welded onto the torn line"
+    assert reloaded.corrupt_lines == 1  # only the fragment is lost
+
+
+def test_span_export_survives_torn_trailing_line(tmp_path):
+    from repro.obs import TRACER
+    from repro.obs.render import load_spans
+
+    path = str(tmp_path / "trace.jsonl")
+    TRACER.configure(enabled=True, sample_rate=1.0, export_path=path)
+    try:
+        with TRACER.span("before"):
+            pass
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"trace_id": "t", "span_id":')  # no \n
+        with TRACER.span("after"):
+            pass
+    finally:
+        TRACER.configure(enabled=False, export_path="")
+        TRACER.reset()
+    spans, corrupt = load_spans(path)
+    assert [s["name"] for s in spans] == ["before", "after"]
+    assert corrupt == 1
