@@ -1,10 +1,11 @@
 """Unified design-rule checking, differential testing, and fuzzing.
 
-* :func:`check_result` — one checker subsuming the scattered
-  ``verify()`` fragments; every invariant is a named, toggleable
+* :func:`check_result` — the one definition of a valid result, run
+  once per solve by every flow; every invariant is a named, toggleable
   :class:`Rule` producing structured :class:`Violation` records.
 * :func:`run_differential` — runs all applicable flows on one design
-  and flags feasibility disagreements and checker gaps.
+  and flags feasibility disagreements and checker gaps (clean results
+  the cycle-accurate simulator rejects).
 * :func:`fuzz` — seeded random-design campaigns with greedy shrinking
   and a replayable JSONL corpus.
 * :func:`run_campaign` — the same fuzz cases driven through a live

@@ -21,10 +21,15 @@ flow can see:
   traffic across control-step groups.  The reverse direction has
   teeth: Chapter 3 interconnects are a subset of general ones, so a
   general-flow infeasibility proof is refuted by *any* clean result;
-* **checker gaps** — a result that is clean under its flow's own
-  scattered ``verify()`` but dirty under the unified
-  :func:`repro.check.check_result` (a rule the legacy verifier
-  missed), or the reverse (a unified-checker blind spot).
+* **checker gaps** — a result that is clean under
+  :func:`repro.check.check_result` but fails the cycle-accurate
+  simulation (:func:`repro.sim.pipeline.simulate_result`), the
+  independent reference the checker is held to: a rule with a blind
+  spot.
+
+A flow whose own design-rule check fails (:class:`CheckError`)
+produced a dirty result, not a give-up: its outcome carries the
+failing report.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.check.report import CheckReport
-from repro.check.rules import PIN_RULES, check_result
+from repro.check.report import CheckError, CheckReport
+from repro.check.rules import PIN_RULES
 from repro.errors import InfeasibleError, ReproError
 from repro.partition.simple import is_simple_partitioning
 from repro.robustness.budget import BudgetExhausted, SolveBudget
@@ -69,7 +74,8 @@ class FlowOutcome:
     flow: str
     outcome: str
     error: Optional[str] = None
-    own_problems: List[str] = field(default_factory=list)
+    #: The simulator's complaint about a checker-clean result, if any.
+    simulation: Optional[str] = None
     report: Optional[CheckReport] = None
     declared_overruns: bool = False
     result: Optional[object] = None
@@ -112,7 +118,7 @@ class FlowOutcome:
             "scheduler": self.scheduler,
             "outcome": self.outcome,
             "error": self.error,
-            "own_problems": list(self.own_problems),
+            "simulation": self.simulation,
             "declared_overruns": self.declared_overruns,
             "report": None if self.report is None
             else self.report.to_dict(),
@@ -219,8 +225,8 @@ def run_differential(graph, partitioning, timing, initiation_rate,
     against FDS — on one design.
 
     Returns an :class:`OracleReport`; ``report.ok`` means no flow
-    produced a dirty result, no feasibility disagreement, and no gap
-    between any flow's own checker and the unified one.
+    produced a dirty result, no feasibility disagreement, and no clean
+    result the simulator rejects.
     """
     from repro.core.flow import synthesize
 
@@ -236,6 +242,9 @@ def run_differential(graph, partitioning, timing, initiation_rate,
                                 initiation_rate, flow=flow,
                                 budget=budget, resources=resources,
                                 **extra)
+            checked = result.check
+        except CheckError as exc:
+            result, checked = exc.result, exc.report
         except InfeasibleError as exc:
             report.outcomes.append(FlowOutcome(
                 flow, INFEASIBLE, error=str(exc), scheduler=sched))
@@ -250,8 +259,8 @@ def run_differential(graph, partitioning, timing, initiation_rate,
             continue
         outcome = FlowOutcome(
             flow, OK,
-            own_problems=result.verify(),
-            report=check_result(result),
+            simulation=_simulation_error(result) if checked.ok else None,
+            report=checked,
             declared_overruns=bool(
                 result.stats.get("budget_overruns")),
             result=result if keep_results else None,
@@ -260,6 +269,17 @@ def run_differential(graph, partitioning, timing, initiation_rate,
 
     _cross_compare(report)
     return report
+
+
+def _simulation_error(result) -> Optional[str]:
+    """Why the cycle-accurate simulation rejects ``result`` (None when
+    it passes)."""
+    from repro.sim.pipeline import simulate_result
+    try:
+        simulate_result(result)
+    except ReproError as exc:
+        return str(exc)
+    return None
 
 
 def _cross_compare(report: OracleReport) -> None:
@@ -275,17 +295,8 @@ def _cross_compare(report: OracleReport) -> None:
                 f"{winner.label} produced a result the unified "
                 f"checker accepts")
     for outcome in report.outcomes:
-        if outcome.outcome != OK or outcome.report is None:
-            continue
-        own_clean = not outcome.own_problems
-        unified_clean = outcome.report.ok
-        if own_clean and not unified_clean:
-            rules = sorted(outcome.report.by_rule())
+        if outcome.simulation is not None:
             report.checker_gaps.append(
-                f"{outcome.label}: clean under its own verify() but "
-                f"the unified checker flags {rules}")
-        elif unified_clean and not own_clean:
-            report.checker_gaps.append(
-                f"{outcome.label}: clean under the unified checker "
-                f"but its own verify() reports "
-                f"{outcome.own_problems}")
+                f"{outcome.label}: clean under the unified checker but "
+                f"the cycle-accurate simulation fails: "
+                f"{outcome.simulation}")

@@ -18,13 +18,18 @@ from repro.errors import ReproError
 
 
 class CheckError(ReproError):
-    """A checked synthesis result carries invariant violations."""
+    """A checked synthesis result carries invariant violations.
 
-    def __init__(self, report: "CheckReport") -> None:
+    ``report`` is the failing :class:`CheckReport`; ``result`` the
+    checked result when the raiser had one (flows always do).
+    """
+
+    def __init__(self, report: "CheckReport", result=None) -> None:
         super().__init__(
             "synthesis result failed the design-rule check:\n  "
             + "\n  ".join(v.message for v in report.violations))
         self.report = report
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,9 @@ class CheckReport:
             "rules_skipped": list(self.rules_skipped),
         }
 
-    def raise_if_violations(self) -> "CheckReport":
+    def raise_if_violations(self, result=None) -> "CheckReport":
         if self.violations:
-            raise CheckError(self)
+            raise CheckError(self, result)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,11 +1,12 @@
-"""The unified design-rule checker: named, toggleable invariant rules.
+"""The design-rule checker: the one definition of a valid result.
 
-:func:`check_result` subsumes and extends the scattered ``verify()``
-fragments (``Schedule.verify``, ``verify_bus_allocation``,
-``verify_simple_allocation``, ``Interconnect.check_budget``) into one
-pass over a :class:`repro.core.flow.SynthesisResult`.  Each invariant
-is a named :class:`Rule` that can be toggled off individually, and
-every violation is a structured :class:`~repro.check.report.Violation`
+:func:`check_result` runs every invariant over a
+:class:`repro.core.flow.SynthesisResult`.  Each flow runs it exactly
+once, in its verify pass, and keeps the report as ``result.check``;
+``SynthesisResult.verify()``/``require_valid()`` and
+``Schedule.verify()`` are shims over these rules.  Each invariant is a
+named :class:`Rule` that can be toggled off individually, and every
+violation is a structured :class:`~repro.check.report.Violation`
 rather than a bare string.
 
 Rule catalogue (see DESIGN.md §11 for the full table):
@@ -35,6 +36,7 @@ Rule catalogue (see DESIGN.md §11 for the full table):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -604,6 +606,23 @@ def check_result(result, rules: Optional[Sequence[str]] = None,
         report.rules_run.append(rule.name)
         report.violations.extend(rule.check(result))
     return report
+
+
+#: The rules a bare schedule can be held to; ``resources`` joins them
+#: when a module vector is given.
+SCHEDULE_RULES: Tuple[str, ...] = ("scheduled", "precedence", "recursion",
+                                   "chaining")
+
+
+def schedule_violations(schedule, resources=None) -> List[Violation]:
+    """:data:`SCHEDULE_RULES` over a schedule outside any result (what
+    :meth:`repro.scheduling.base.Schedule.verify` reports)."""
+    view = SimpleNamespace(graph=schedule.graph, schedule=schedule,
+                           initiation_rate=schedule.initiation_rate,
+                           resources=resources)
+    names = SCHEDULE_RULES + (("resources",) if resources is not None
+                              else ())
+    return [v for name in names for v in _RULES_BY_NAME[name].check(view)]
 
 
 def _lookup(name: str) -> Rule:

@@ -183,7 +183,7 @@ def cmd_designs(_args) -> int:
 def _result_json(args, result) -> dict:
     """The machine-readable ``synthesize --json`` payload."""
     from repro.io_json import SCHEMA_VERSION
-    problems = result.verify()
+    problems = [v.message for v in result.check.violations]
     return {
         "schema_version": SCHEMA_VERSION,
         "design": args.design,
@@ -392,7 +392,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_check(args) -> int:
     """Synthesize, then run the unified design-rule checker."""
-    from repro.check import check_result, run_differential
+    from repro.check import CheckError, check_result, run_differential
     from repro.check.rules import enforceable_violations
 
     if args.oracle:
@@ -421,8 +421,13 @@ def cmd_check(args) -> int:
             print("oracle: " + ("ok" if oracle.ok else "FAILED"))
         return 0 if oracle.ok else 1
 
-    result = _synthesize(args)
-    report = check_result(result, disable=tuple(args.disable or ()))
+    try:
+        result = _synthesize(args)
+        report = result.check
+    except CheckError as exc:
+        result, report = exc.result, exc.report
+    if args.disable:
+        report = check_result(result, disable=tuple(args.disable))
     hard = enforceable_violations(result, report)
     if args.json:
         payload = report.to_dict()

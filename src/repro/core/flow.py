@@ -22,12 +22,15 @@ live as passes in :mod:`repro.pipeline.passes` running over a typed
 entries too — :func:`repro.pipeline.register_scheduler` plugs new ones
 into the flows, the CLI, the explorer, and the differential oracle.
 
-Every flow returns a :class:`SynthesisResult` whose :meth:`verify`
-re-checks all invariants end to end — precedence, chaining, recursion,
-functional units, pin budgets, and bus conflict freedom.  Budgeted runs
-additionally carry a :class:`repro.robustness.diagnostics.Diagnostics`
-trail recording dispatch decisions, budget exhaustions, and fallbacks,
-so a degraded answer is auditable.
+Every flow ends in one run of the design-rule checker
+(:func:`repro.check.check_result`) over its :class:`SynthesisResult` —
+precedence, chaining, recursion, functional units, pin budgets, and bus
+conflict freedom — keeps the report as ``result.check``, and raises
+:class:`repro.check.CheckError` on any violation it does not tolerate.
+Budgeted runs additionally carry a
+:class:`repro.robustness.diagnostics.Diagnostics` trail recording
+dispatch decisions, budget exhaustions, and fallbacks, so a degraded
+answer is auditable.
 
 The graceful-degradation lattice (see DESIGN.md §8):
 
@@ -45,11 +48,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional
 
 from repro.cdfg.graph import Cdfg
-from repro.core.interconnect import (BusAssignment, Interconnect,
-                                     verify_bus_allocation)
-from repro.core.simple_connection import (SimpleConnectionResult,
-                                          verify_simple_allocation)
-from repro.errors import ReproError, SchedulingError
+from repro.core.interconnect import BusAssignment, Interconnect
+from repro.core.simple_connection import SimpleConnectionResult
+from repro.errors import ReproError
 from repro.modules.allocation import ResourceVector
 from repro.modules.library import DesignTiming
 from repro.partition.model import Partitioning
@@ -148,6 +149,9 @@ class SynthesisResult:
     #: only; None elsewhere).  Deliberately not serialized with the
     #: result — it travels between neighboring solves, not to archives.
     warm_basis: Optional[object] = None
+    #: The flow's :class:`repro.check.CheckReport`, from its one
+    #: design-rule check; not serialized either.
+    check: Optional[object] = None
 
     # ------------------------------------------------------------------
     @property
@@ -168,28 +172,15 @@ class SynthesisResult:
         return {p: 0 for p in self.partitioning.indices()}
 
     def verify(self) -> List[str]:
-        problems = self.schedule.verify(self.resources)
-        if self.interconnect is not None:
-            problems.extend(self.interconnect.check_budget(
-                self.partitioning))
-            if self.assignment is not None:
-                problems.extend(verify_bus_allocation(
-                    self.graph, self.interconnect, self.assignment,
-                    self.schedule.start_step, self.initiation_rate))
-        if self.simple_allocation is not None:
-            problems.extend(verify_simple_allocation(
-                self.graph, self.schedule, self.simple_allocation))
-            problems.extend(
-                self.simple_allocation.interconnect.check_budget(
-                    self.partitioning))
-        return problems
+        """Every violation message of a fresh
+        :func:`repro.check.check_result` run (empty = valid)."""
+        from repro.check.rules import check_result
+        return [v.message for v in check_result(self).violations]
 
     def require_valid(self) -> "SynthesisResult":
-        problems = self.verify()
-        if problems:
-            raise SchedulingError(
-                "synthesis result failed verification:\n  "
-                + "\n  ".join(problems))
+        """``self``, or :class:`repro.check.CheckError` on any violation."""
+        from repro.check.rules import check_result
+        check_result(self).raise_if_violations(self)
         return self
 
 
@@ -212,7 +203,6 @@ def _run_flow(flow: str, graph: Cdfg, partitioning: Partitioning,
               token: Optional[BudgetToken],
               diag: Diagnostics, *,
               warm_basis=None,
-              check: bool = False,
               strict_verify: bool = False,
               pipe_length: Optional[int] = None) -> SynthesisResult:
     """Run one registered flow's pass list (see
@@ -224,8 +214,7 @@ def _run_flow(flow: str, graph: Cdfg, partitioning: Partitioning,
     ctx = FlowContext(graph=graph, partitioning=partitioning,
                       timing=timing, initiation_rate=initiation_rate,
                       options=opts, token=token, diag=diag,
-                      warm_basis=warm_basis, check=check,
-                      strict_verify=strict_verify,
+                      warm_basis=warm_basis, strict_verify=strict_verify,
                       pipe_length=pipe_length)
     return run_flow(flow, ctx)
 
@@ -326,11 +315,12 @@ def synthesize(graph: Cdfg,
     it when compatible and silently cold-starts otherwise, so verdicts
     are unchanged.  Other flows ignore it.
 
-    ``check=True`` additionally runs the unified design-rule checker
-    (:func:`repro.check.check_result`) over the finished result and
-    raises :class:`repro.check.CheckError` on any violation — stricter
-    than the flows' built-in ``require_valid()``, which the unified
-    rules subsume.
+    Every flow checks its result once with
+    :func:`repro.check.check_result` (the report is ``result.check``)
+    and raises :class:`repro.check.CheckError` on a violation.  The
+    schedule-first flow tolerates the pin overruns it declares in
+    ``stats["budget_overruns"]``; ``check=True`` makes it strict, like
+    the other flows.
 
     With a :class:`repro.robustness.budget.SolveBudget`, every solver
     in the chosen flow cooperates with the deadline/caps, and the
@@ -339,8 +329,8 @@ def synthesize(graph: Cdfg,
     then falls back to the schedule-first flow.  Each fallback rung
     restarts the iteration counters but shares the original wall clock,
     and every transition is recorded on ``result.diagnostics``.
-    Degraded results are verified by ``require_valid()`` exactly like
-    full-effort ones; when no rung fits the budget, the final
+    Degraded results are checked strictly, exactly like full-effort
+    ones; when no rung fits the budget, the final
     :class:`BudgetExhausted` carries the diagnostics trail.
     """
     options = SynthesisOptions(flow=flow, **opts)
@@ -352,7 +342,7 @@ def synthesize(graph: Cdfg,
         try:
             return _dispatch(graph, partitioning, timing,
                              initiation_rate, options, token, diag,
-                             warm_basis=pin_warm_basis, check=check)
+                             warm_basis=pin_warm_basis, strict=check)
         except BudgetExhausted as exc:
             if exc.diagnostics is None:
                 exc.diagnostics = diag
@@ -365,7 +355,7 @@ def _dispatch(graph: Cdfg, partitioning: Partitioning,
               token: Optional[BudgetToken],
               diag: Diagnostics,
               warm_basis=None,
-              check: bool = False) -> SynthesisResult:
+              strict: bool = False) -> SynthesisResult:
     chosen = options.flow
     auto = chosen == "auto"
     if auto:
@@ -383,7 +373,7 @@ def _dispatch(graph: Cdfg, partitioning: Partitioning,
             return _run_flow("simple", graph, partitioning, timing,
                              initiation_rate, options,
                              token.child() if token else None, diag,
-                             warm_basis=warm_basis, check=check)
+                             warm_basis=warm_basis)
         except BudgetExhausted as exc:
             # Auto-dispatch may retreat to the general flow (and its
             # own fallback chain); an explicit flow="simple" must not.
@@ -395,7 +385,7 @@ def _dispatch(graph: Cdfg, partitioning: Partitioning,
     if chosen == "schedule-first":
         return _run_flow("schedule-first", graph, partitioning,
                          timing, initiation_rate, options, token,
-                         diag, check=check)
+                         diag, strict_verify=strict)
 
     # connection-first, with the graceful-degradation chain when a
     # budget is in force (without one, BudgetExhausted cannot occur).
@@ -405,7 +395,7 @@ def _dispatch(graph: Cdfg, partitioning: Partitioning,
     try:
         return _run_flow("connection-first", graph, partitioning,
                          timing, initiation_rate, options, child(),
-                         diag, check=check)
+                         diag)
     except BudgetExhausted as exc:
         diag.record_exhaustion(exc)
         if options.branching_factor > 1:
@@ -418,7 +408,7 @@ def _dispatch(graph: Cdfg, partitioning: Partitioning,
                 return _run_flow("connection-first", graph,
                                  partitioning, timing,
                                  initiation_rate, greedy, child(),
-                                 diag, check=check)
+                                 diag)
             except BudgetExhausted as exc2:
                 diag.record_exhaustion(exc2)
     diag.record_fallback("flow", frm="connection-first",
@@ -428,4 +418,4 @@ def _dispatch(graph: Cdfg, partitioning: Partitioning,
     # merely reports on (strict_verify).
     return _run_flow("schedule-first", graph, partitioning, timing,
                      initiation_rate, options, child(), diag,
-                     check=check, strict_verify=True)
+                     strict_verify=True)

@@ -15,9 +15,9 @@ fully determines reachability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cdfg.graph import Cdfg, Node
+from repro.cdfg.graph import Node
 from repro.errors import ConnectionError_
 from repro.partition.model import Partitioning
 
@@ -226,53 +226,3 @@ class BusAssignment:
             out.setdefault(bus, []).append(op)
         return out
 
-
-def verify_bus_allocation(graph: Cdfg, interconnect: Interconnect,
-                          assignment: BusAssignment,
-                          schedule_steps: Mapping[str, int],
-                          initiation_rate: int) -> List[str]:
-    """Check the no-conflict property of a complete design.
-
-    Two transfers may occupy the same (bus, segment, control-step
-    group) only if, in the *same control step*, they move the same
-    value — or are mutually exclusive by their guards (conditional
-    sharing, Section 7.2; different steps always mean different
-    pipeline instances, where exclusivity cannot help).  Also checks
-    bus capability.
-    """
-    problems: List[str] = []
-    occupancy: Dict[Tuple[int, int, int], List[Tuple[int, str]]] = {}
-    for node in graph.io_nodes():
-        name = node.name
-        if name not in assignment.bus_of:
-            problems.append(f"I/O op {name!r} has no bus")
-            continue
-        if name not in schedule_steps:
-            problems.append(f"I/O op {name!r} is unscheduled")
-            continue
-        bus_index, segment = assignment.of(name)
-        bus = interconnect.bus(bus_index)
-        if not bus.capable(node, segment):
-            problems.append(
-                f"bus {bus_index} cannot carry {name!r} "
-                f"({node.bit_width} bits from P{node.source_partition} "
-                f"to P{node.dest_partition} at segment {segment})")
-            continue
-        step = schedule_steps[name]
-        group = step % initiation_rate
-        for seg in bus.segments_spanned(node, segment):
-            key = (bus_index, seg, group)
-            for other_step, other in occupancy.get(key, []):
-                other_node = graph.node(other)
-                same_value = ((node.value or name)
-                              == (other_node.value or other)
-                              and other_step == step)
-                exclusive = (other_step == step
-                             and node.mutually_exclusive_with(
-                                 other_node))
-                if not (same_value or exclusive):
-                    problems.append(
-                        f"bus {bus_index} segment {seg} group {group}: "
-                        f"{name!r} conflicts with {other!r}")
-            occupancy.setdefault(key, []).append((step, name))
-    return problems

@@ -506,9 +506,9 @@ class PinAllocationProblem:
 
         The weakest rung of the degradation chain: relaxation
         feasibility is a necessary condition for ILP feasibility, so a
-        "no" here is sound while a "yes" is optimistic — the end-to-end
-        :meth:`repro.core.flow.SynthesisResult.require_valid` check
-        still guards every answer built on top of it.
+        "no" here is sound while a "yes" is optimistic — the flow's
+        end-to-end design-rule check still guards every answer built
+        on top of it.
         """
         model = _clone_with_fixed(self.model, self.x, fixed)
         return solve_lp(model).status is SolveStatus.OPTIMAL
@@ -555,8 +555,8 @@ class PinAllocationChecker:
     strategy forms a fallback chain: when the cutting planes exhaust
     their budget share the checker latches onto exact branch & bound;
     when that exhausts too it latches onto the conservative
-    LP-relaxation bound (sound "no", optimistic "yes" — the flow-level
-    ``require_valid()`` still verifies the final answer).  Every latch
+    LP-relaxation bound (sound "no", optimistic "yes" — the flow's
+    design-rule check still verifies the final answer).  Every latch
     is recorded on the ``diagnostics`` trail.
 
     Warm-start tier

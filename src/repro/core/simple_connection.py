@@ -12,8 +12,9 @@ bundles per communication star (Figure 3.3):
 * plain pair: a single bundle sized to the peak per-group bit count.
 
 The builder also produces the *bit-level* allocation (which value puts
-how many bits on which bundle in each control-step group) and verifies
-the no-conflict property, mirroring Figure 3.7.
+how many bits on which bundle in each control-step group), mirroring
+Figure 3.7; the ``simple-alloc`` rule of :mod:`repro.check.rules`
+verifies its no-conflict property.
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ def build_simple_connection(graph: Cdfg,
                 continue
             _build_pair(graph, schedule, src, dst, result, next_bus)
             handled_edges.add((src, dst))
-
-    problems = verify_simple_allocation(graph, schedule, result)
-    if problems:
-        raise ConnectionError_(
-            "Theorem 3.1 construction failed self-check:\n  "
-            + "\n  ".join(problems))
     return result
 
 
@@ -275,41 +270,3 @@ def _build_fanin_star(graph: Cdfg, schedule: Schedule, a: int, b: int,
                     c_used += rest
                 result.allocation[node.name] = alloc
 
-
-# ---------------------------------------------------------------------
-def verify_simple_allocation(graph: Cdfg, schedule: Schedule,
-                             result: SimpleConnectionResult) -> List[str]:
-    """Check bit budgets per (bus, group): the no-conflict property."""
-    problems: List[str] = []
-    L = schedule.initiation_rate
-    usage: Dict[Tuple[int, int], int] = {}
-    shared_seen: Dict[Tuple[int, int, str, int], int] = {}
-    for node in graph.io_nodes():
-        name = node.name
-        alloc = result.allocation.get(name)
-        if alloc is None:
-            problems.append(f"I/O op {name!r} has no allocation")
-            continue
-        total = sum(bits for _bus, bits in alloc)
-        if total != node.bit_width:
-            problems.append(
-                f"{name!r}: allocated {total} bits != width "
-                f"{node.bit_width}")
-        group = schedule.group(name)
-        step = schedule.step(name)
-        for bus_index, bits in alloc:
-            bus = result.interconnect.bus(bus_index)
-            # Same value, same step, same bus counts once (shared drive).
-            key = (bus_index, group, node.value or name, step)
-            already = shared_seen.get(key, 0)
-            extra = max(0, bits - already)
-            shared_seen[key] = max(already, bits)
-            usage[(bus_index, group)] = usage.get(
-                (bus_index, group), 0) + extra
-    for (bus_index, group), bits in sorted(usage.items()):
-        width = result.interconnect.bus(bus_index).width
-        if bits > width:
-            problems.append(
-                f"bus {bus_index} group {group}: {bits} bits on "
-                f"{width} wires")
-    return problems

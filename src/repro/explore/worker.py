@@ -10,8 +10,8 @@ worker's :mod:`repro.perf` counter delta, ready to be merged by the
 parent and appended verbatim to the on-disk result cache.
 
 Workers never raise: every failure mode is folded into the record's
-``status`` (``error`` / ``budget_exhausted``) so one pathological point
-cannot take down the sweep.
+``status`` (``error`` / ``budget_exhausted`` / ``invalid``) so one
+pathological point cannot take down the sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.check.report import CheckError
 from repro.core.flow import SynthesisOptions, synthesize
 from repro.core.oracle_store import get_active
 from repro.errors import ReproError
@@ -119,21 +120,30 @@ def run_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
                       else SolveBudget(deadline_ms=deadline_ms))
             kwargs = options.to_dict()
             flow = kwargs.pop("flow")
-            result = synthesize(graph, partitioning, timing,
-                                int(payload["rate"]), flow=flow,
-                                budget=budget, resources=resources,
-                                pin_warm_basis=payload.get("warm_basis"),
-                                **kwargs)
+            try:
+                result = synthesize(
+                    graph, partitioning, timing, int(payload["rate"]),
+                    flow=flow, budget=budget, resources=resources,
+                    pin_warm_basis=payload.get("warm_basis"), **kwargs)
+                report = result.check
+                record["status"] = "degraded" if result.degraded \
+                    else "ok"
+            except CheckError as exc:
+                # The flow's own design-rule check failed: the record
+                # is non-cacheable, so a bad result is never served.
+                result, report = exc.result, exc.report
+                record["status"] = "invalid"
+                record["error"] = ("design-rule check failed: "
+                                   + "; ".join(report.messages()[:5]))
             wall_ms = (time.perf_counter() - start) * 1000.0
-            record["status"] = "degraded" if result.degraded else "ok"
             record["metrics"] = result_metrics(result, wall_ms)
             record["stats"] = _jsonable(_stats_to_dict(result.stats))
             record["diagnostics"] = result.diagnostics.to_dict()
             if payload.get("export_warm") \
                     and result.warm_basis is not None:
                 record["warm_basis"] = result.warm_basis
-            if payload.get("check"):
-                _check_record(result, record)
+            if payload.get("check") or record["status"] == "invalid":
+                record["check"] = report.to_dict()
         except BudgetExhausted as exc:
             record["status"] = "budget_exhausted"
             record["error"] = str(exc)
@@ -186,26 +196,6 @@ def run_chain(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
             warm = basis
         records.append(record)
     return records
-
-
-def _check_record(result, record: Dict[str, Any]) -> None:
-    """Run the unified design-rule checker on a finished solve.
-
-    Enforceable violations (pin overruns a schedule-first result has
-    *declared* are tolerated, everything else counts) flip the record
-    to the non-cacheable ``invalid`` status, so a bad result is never
-    served from the cache.  The full report rides along either way.
-    """
-    from repro.check.rules import check_result, enforceable_violations
-
-    report = check_result(result)
-    record["check"] = report.to_dict()
-    hard = enforceable_violations(result, report)
-    if hard:
-        record["status"] = "invalid"
-        record["error"] = ("design-rule check failed: "
-                           + "; ".join(f"[{v.rule}] {v.message}"
-                                       for v in hard[:5]))
 
 
 def _jsonable(data: Dict[str, Any]) -> Dict[str, Any]:

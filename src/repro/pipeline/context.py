@@ -72,10 +72,9 @@ class FlowContext:
     token: Any = None
     diag: Any = None
     warm_basis: Any = None
-    #: Run the unified design-rule checker as a final pass.
-    check: bool = False
-    #: Set by the dispatcher's degradation chain: a fallback rung must
-    #: verify strictly (pin budgets included) before it may answer.
+    #: Set for ``synthesize(check=True)`` and by the dispatcher's
+    #: degradation chain: a schedule-first result must then verify
+    #: strictly (pin budgets included) before it may answer.
     strict_verify: bool = False
 
     # --- pass products ------------------------------------------------

@@ -362,57 +362,58 @@ class BuildScheduleFirstResult:
 # ---------------------------------------------------------------------
 # Verification passes
 # ---------------------------------------------------------------------
+def _checked(ctx: FlowContext):
+    """The flow's one design-rule check, kept as ``result.check``."""
+    # Imported here: repro.check is a layer above the flows.
+    from repro.check.rules import check_result
+    ctx.result.check = check_result(ctx.result)
+    return ctx.result.check
+
+
 class VerifyResult:
-    """Strict end-to-end verification (``require_valid``)."""
+    """Check the result; any violation raises ``CheckError``."""
 
     name = "verify"
 
     def run(self, ctx: FlowContext) -> None:
-        ctx.result.require_valid()
+        _checked(ctx).raise_if_violations(ctx.result)
+
+
+#: The check pass's older name, which ``perfbench/ledger.py`` still
+#: constructs.
+CheckRules = VerifyResult
 
 
 class VerifyTolerantPins:
     """Chapter 5 verification: the flow minimizes pins rather than
-    respecting a fixed budget, so overruns are reported, not fatal —
-    unless the run is a degradation fallback (``strict_verify``)."""
+    respecting a fixed budget, so it declares its overruns in
+    ``stats["budget_overruns"]`` and tolerates the pin-rule violations
+    they cover; any other violation raises ``CheckError``."""
 
     name = "verify-tolerant"
 
     def run(self, ctx: FlowContext) -> None:
+        from repro.check.report import CheckError
+        from repro.check.rules import enforceable_violations
         result = ctx.result
-        problems = result.verify()
-        hard = [p for p in problems if "budget" not in p]
-        if hard:
-            raise SchedulingError(
-                "schedule-first synthesis failed verification:\n  "
-                + "\n  ".join(hard))
-        overruns = [p for p in problems if "budget" in p]
+        report = _checked(ctx)
+        overruns = result.interconnect.check_budget(result.partitioning)
         result.stats["budget_overruns"] = overruns
         if overruns:
             ctx.diag.record("schedule_first", "pin_budget_overruns",
                             count=len(overruns))
+        if enforceable_violations(result, report):
+            raise CheckError(report, result)
 
 
 class VerifyStrictOnFallback:
-    """Degradation rungs answer for the flow they replaced: a
-    schedule-first result reached by fallback must verify exactly like
-    a full-effort one — including pin budgets, which the standalone
-    Chapter 5 flow merely reports on."""
+    """Degradation rungs and ``check=True`` runs (``strict_verify``)
+    answer like the other flows: a schedule-first result must then pass
+    every rule, pin budgets included, which the standalone Chapter 5
+    flow merely reports on."""
 
     name = "verify-strict"
 
     def run(self, ctx: FlowContext) -> None:
         if ctx.strict_verify:
-            ctx.result.require_valid()
-
-
-class CheckRules:
-    """The unified design-rule checker as a uniform final pass
-    (``synthesize(check=True)``); raises on any violation."""
-
-    name = "check"
-
-    def run(self, ctx: FlowContext) -> None:
-        # Imported here: repro.check is a layer above the flows.
-        from repro.check.rules import check_result
-        check_result(ctx.result).raise_if_violations()
+            ctx.result.check.raise_if_violations(ctx.result)

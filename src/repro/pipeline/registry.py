@@ -6,10 +6,10 @@ Two registries live here:
   named list of passes split into *setup* (validation, resource
   defaulting — before the flow's PERF phase), *phased* (the solver
   passes, timed under one ``flow.*`` PERF phase), and *finish*
-  (result assembly and verification).  :func:`run_flow` executes a
-  spec over a :class:`repro.pipeline.context.FlowContext`, checking
-  the budget deadline at every pass boundary and appending the
-  unified design-rule checker when ``ctx.check`` is set.
+  (result assembly and the flow's one design-rule check).
+  :func:`run_flow` executes a spec over a
+  :class:`repro.pipeline.context.FlowContext`, checking the budget
+  deadline at every pass boundary.
   :func:`repro.core.flow.synthesize` dispatches exclusively through
   this table — there is no bespoke per-flow call path left.
 
@@ -277,10 +277,6 @@ register_flow(FlowSpec(
 ))
 
 
-#: The uniform ``check=True`` pass appended to every flow.
-_CHECK_PASS = P.CheckRules()
-
-
 # ---------------------------------------------------------------------
 def _pass_boundary(ctx: FlowContext, p) -> None:
     """Uniform per-pass budget gate: the wall clock is consulted at
@@ -296,8 +292,7 @@ def run_flow(name: str, ctx: FlowContext):
     Setup passes run first; the phased passes run under the flow's
     PERF phase with the stats baseline snapshotted in between (so
     every flow reports solver effort identically); finish passes
-    assemble and verify the result.  ``ctx.check`` appends the
-    unified design-rule checker as the final boundary.
+    assemble and verify the result.
     """
     spec = flow_spec(name)
 
@@ -316,6 +311,4 @@ def run_flow(name: str, ctx: FlowContext):
             run_pass(p)
     for p in spec.finish:
         run_pass(p)
-    if ctx.check:
-        run_pass(_CHECK_PASS)
     return ctx.result

@@ -99,77 +99,9 @@ class Schedule:
     # ------------------------------------------------------------------
     def verify(self,
                resources: Optional[ResourceVector] = None) -> List[str]:
-        """Invariant check: precedence, chaining, recursion, resources.
-
-        Returns a list of problems (empty = valid schedule).
-        """
-        problems: List[str] = []
-        period = self.timing.clock_period
-        L = self.initiation_rate
-
-        for name in self.graph.node_names():
-            if name not in self.start_step:
-                node = self.graph.node(name)
-                if not node.is_free():
-                    problems.append(f"{name!r} is unscheduled")
-
-        for edge in self.graph.edges():
-            if edge.src not in self.start_step or \
-                    edge.dst not in self.start_step:
-                continue
-            src = self.graph.node(edge.src)
-            dst = self.graph.node(edge.dst)
-            if edge.is_recursive():
-                # t_src(producer) <= t_dst(consumer) + d*L - c_src
-                c_src = max(1, self.timing.cycles(src))
-                if self.step(edge.src) > (self.step(edge.dst)
-                                          + edge.degree * L - c_src):
-                    problems.append(
-                        f"recursive edge {edge.src!r}->{edge.dst!r} "
-                        f"(degree {edge.degree}) violates the max-time "
-                        f"constraint at L={L}")
-                continue
-            if src.is_free() or dst.is_free():
-                continue
-            if self.finish_ns(edge.src) > self.start_ns[edge.dst] + _EPS:
-                problems.append(
-                    f"{edge.dst!r} starts at {self.start_ns[edge.dst]} ns "
-                    f"before {edge.src!r} finishes at "
-                    f"{self.finish_ns(edge.src)} ns")
-
-        # Chained ops must finish within their step.
-        for name, step in self.start_step.items():
-            node = self.graph.node(name)
-            if node.is_free():
-                continue
-            cycles = max(1, self.timing.cycles(node))
-            finish = self.finish_ns(name)
-            if finish > (step + cycles) * period + _EPS:
-                problems.append(
-                    f"{name!r} overruns its {cycles}-cycle window")
-            if self.timing.must_start_at_boundary(node):
-                if abs(self.start_ns[name] - step * period) > 1e-6:
-                    problems.append(
-                        f"{name!r} must start at a clock boundary")
-
-        if resources is not None:
-            problems.extend(self._verify_resources(resources))
-        return problems
-
-    def _verify_resources(self, resources: ResourceVector) -> List[str]:
-        problems: List[str] = []
-        pool = ResourcePool(resources, self.timing, self.initiation_rate)
-        order = sorted(self.start_step.items(), key=lambda kv: kv[1])
-        for name, step in order:
-            node = self.graph.node(name)
-            if not node.is_functional():
-                continue
-            if not pool.try_place(node, step):
-                problems.append(
-                    f"{name!r} exceeds the functional units of partition "
-                    f"{node.partition} ({node.op_type}) in group "
-                    f"{step % self.initiation_rate}")
-        return problems
+        """Schedule-rule messages of :mod:`repro.check.rules` ([] = valid)."""
+        from repro.check.rules import schedule_violations
+        return [v.message for v in schedule_violations(self, resources)]
 
 
 class ResourcePool:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.baselines import (gebotys_connection, gebotys_pin_cost,
                                   no_sharing_pin_cost)
-from repro.core.interconnect import verify_bus_allocation
 from repro.designs import (AR_GENERAL_PINS_UNIDIR, ar_general_design)
 from repro.errors import ConnectionError_
 from repro.modules.library import ar_filter_timing

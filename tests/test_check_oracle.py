@@ -1,9 +1,8 @@
 """Differential-oracle semantics and builtin-design agreement.
 
 Satellite (d) of the checker work: the flows must agree on the
-built-in designs, and a flow's own ``require_valid()`` verdict must
-coincide with the unified checker's (no checker gaps in either
-direction).
+built-in designs, and every result the unified checker passes must
+also survive cycle-accurate simulation (no checker gap).
 """
 
 import pytest
@@ -33,13 +32,12 @@ def test_flows_agree_on_builtin(design, rate):
                               timeout_ms=15000, resources=resources,
                               keep_results=True)
     assert oracle.ok, oracle.to_dict()
-    # No checker gap: each flow's own verify() verdict must equal the
-    # unified checker's (modulo openly declared pin overruns).
+    # No checker gap: every clean result was simulated, and passed.
     for outcome in oracle.outcomes:
         if outcome.result is None:
             continue
-        own_clean = not outcome.result.verify()
-        assert own_clean == outcome.report.ok or outcome.acceptable
+        assert outcome.result.check is outcome.report
+        assert outcome.simulation is None
 
 
 def test_applicable_flows_simple():
@@ -112,22 +110,25 @@ def test_dirty_result_never_refutes():
 
 
 def test_checker_gap_detected():
-    dirty = CheckReport(violations=[
-        Violation.at("bus-conflict", "collision", bus=1)])
     report = OracleReport(outcomes=[
-        FlowOutcome("connection-first", OK, own_problems=[],
-                    report=dirty),
+        FlowOutcome("connection-first", OK, report=CheckReport(),
+                    simulation="value mismatch"),
     ])
     _cross_compare(report)
     assert report.checker_gaps
     assert not report.ok
 
 
-def test_checker_gap_reverse_direction():
-    report = OracleReport(outcomes=[
-        FlowOutcome("connection-first", OK,
-                    own_problems=["phantom problem"],
-                    report=CheckReport()),
-    ])
-    _cross_compare(report)
-    assert report.checker_gaps
+def test_checker_blind_spot_caught_by_simulation(monkeypatch,
+                                                 early_consumer_backend):
+    # A checker that passes everything lets the early-consumer
+    # backend's precedence bug through; the simulator must not.
+    from repro.check import rules
+    monkeypatch.setattr(rules, "check_result",
+                        lambda result, **_: CheckReport())
+    graph, pins, timing, resources = _load("ar-general", 3)
+    oracle = run_differential(graph, pins, timing, 3,
+                              flows=["connection-first"],
+                              schedulers=[early_consumer_backend])
+    assert oracle.checker_gaps, oracle.to_dict()
+    assert not oracle.ok

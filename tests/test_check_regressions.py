@@ -9,10 +9,11 @@ import threading
 
 import pytest
 
-from repro.check import check_result, run_case
+from repro.check import check_result, run_case, run_differential
 from repro.check.fuzz import FuzzCase
 from repro.core.flow import synthesize
 from repro.core.interconnect import Bus, Interconnect
+from repro.designs import AR_GENERAL_PINS_UNIDIR, ar_general_design
 from repro.designs.random_designs import random_partitioned_design
 from repro.errors import ReproError
 from repro.explore.cache import ResultCache
@@ -107,6 +108,23 @@ def test_chapter3_proof_not_refuted_by_general_result():
     # degenerates: simple proves infeasible, connection-first solves.
     assert outcomes.get("simple") in ("infeasible", "budget")
     assert outcomes.get("connection-first") in ("ok", "budget")
+
+
+# ---------------------------------------------------------------------
+# Bug: a flow whose own verification failed raised a plain
+# SchedulingError, which the oracle filed as "gave-up" — so a backend
+# that pulls a consumer ahead of its producer passed the oracle.  The
+# flow's check now raises CheckError, a dirty outcome.
+# ---------------------------------------------------------------------
+def test_oracle_flags_a_flow_failing_its_own_check(early_consumer_backend):
+    oracle = run_differential(ar_general_design(), AR_GENERAL_PINS_UNIDIR,
+                              ar_filter_timing(), 3,
+                              flows=["connection-first"],
+                              schedulers=[early_consumer_backend])
+    assert not oracle.ok
+    assert [o.outcome for o in oracle.outcomes] == ["ok"]
+    assert any("[precedence]" in v for v in oracle.violations()), \
+        oracle.violations()
 
 
 # ---------------------------------------------------------------------

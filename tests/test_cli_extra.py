@@ -90,3 +90,40 @@ class TestBudgetedCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["flow"] == "schedule-first"
         assert rc in (0, 2)
+
+
+class TestCheckCommand:
+    def _check(self, capsys, *argv):
+        import json
+        rc = main(["check", *argv, "--json"])
+        return rc, json.loads(capsys.readouterr().out)
+
+    def test_declared_overruns_are_tolerated(self, capsys):
+        rc, payload = self._check(capsys, "ar-simple", "-L", "2",
+                                  "--flow", "schedule-first")
+        assert rc == 0
+        assert {v["rule"] for v in payload["violations"]} \
+            == {"pin-budget", "pin-step"}
+        assert payload["enforceable"] == []
+
+    def test_disable_skips_the_rule(self, capsys):
+        rc, payload = self._check(capsys, "ar-simple", "-L", "2",
+                                  "--flow", "schedule-first",
+                                  "--disable", "pin-step")
+        assert rc == 0
+        assert payload["rules_skipped"] == ["pin-step"]
+        assert "pin-step" not in payload["rules_run"]
+        assert {v["rule"] for v in payload["violations"]} \
+            == {"pin-budget"}
+
+    def test_failed_flow_check_is_reported_and_rechecked(
+            self, capsys, early_consumer_backend):
+        argv = ("ar-general", "-L", "3", "--flow", "connection-first",
+                "--scheduler", early_consumer_backend)
+        rc, payload = self._check(capsys, *argv)
+        assert rc == 1
+        assert "precedence" in {v["rule"] for v in payload["enforceable"]}
+        rc, payload = self._check(capsys, *argv, "--disable", "precedence")
+        assert payload["rules_skipped"] == ["precedence"]
+        assert "precedence" not in {v["rule"]
+                                    for v in payload["violations"]}

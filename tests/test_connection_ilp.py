@@ -7,7 +7,6 @@ from repro.cdfg.graph import make_io_node
 from repro.core.connection_ilp import (build_connection_model,
                                        build_subbus_model)
 from repro.core.connection_search import ConnectionSearch
-from repro.core.interconnect import verify_bus_allocation
 from repro.ilp import SolveStatus, solve_ilp
 from repro.partition.model import ChipSpec, OUTSIDE_WORLD, Partitioning
 

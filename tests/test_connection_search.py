@@ -5,7 +5,6 @@ import pytest
 from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
 from repro.core.connection_search import ConnectionSearch
-from repro.core.interconnect import verify_bus_allocation
 from repro.errors import ConnectionError_
 from repro.partition.model import ChipSpec, OUTSIDE_WORLD, Partitioning
 
@@ -116,6 +115,7 @@ class TestPortWidths:
 class TestEndToEndAllocation:
     def test_full_flow_verifies(self):
         from repro import synthesize_connection_first
+        from repro.check import check_result
         from repro.designs import (AR_GENERAL_PINS_UNIDIR,
                                    ar_general_design)
         from repro.modules.library import ar_filter_timing
@@ -123,7 +123,6 @@ class TestEndToEndAllocation:
             ar_general_design(), AR_GENERAL_PINS_UNIDIR,
             ar_filter_timing(), 3)
         assert result.verify() == []
-        problems = verify_bus_allocation(
-            result.graph, result.interconnect, result.assignment,
-            result.schedule.start_step, 3)
-        assert problems == []
+        report = check_result(result, rules=("assignment", "bus-capable",
+                                             "bus-conflict"))
+        assert report.violations == []

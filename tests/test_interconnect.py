@@ -4,10 +4,13 @@ import pytest
 
 from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
-from repro.core.interconnect import (Bus, BusAssignment, Interconnect,
-                                     verify_bus_allocation)
+from repro.check import check_result
+from repro.core.flow import SynthesisResult
+from repro.core.interconnect import Bus, BusAssignment, Interconnect
 from repro.errors import ConnectionError_
+from repro.modules.library import ar_filter_timing
 from repro.partition.model import ChipSpec, OUTSIDE_WORLD, Partitioning
+from repro.scheduling.base import Schedule
 
 
 class TestBus:
@@ -95,6 +98,19 @@ class TestInterconnect:
             Interconnect([]).bus(7)
 
 
+def bus_problems(graph, interconnect, assignment, steps, L):
+    """Messages of the bus-allocation rules over a bare schedule."""
+    schedule = Schedule(graph, ar_filter_timing(), L)
+    for name, step in steps.items():
+        schedule.place(name, step)
+    result = SynthesisResult(graph, None, L, schedule, {},
+                             interconnect=interconnect,
+                             assignment=assignment)
+    report = check_result(result, rules=("assignment", "bus-capable",
+                                         "bus-conflict"))
+    return [v.message for v in report.violations]
+
+
 class TestVerifyAllocation:
     def setup_case(self):
         g = Cdfg()
@@ -109,12 +125,12 @@ class TestVerifyAllocation:
     def test_clean_allocation(self):
         g, ic, assignment = self.setup_case()
         steps = {"w0": 0, "w1": 1}
-        assert verify_bus_allocation(g, ic, assignment, steps, 2) == []
+        assert bus_problems(g, ic, assignment, steps, 2) == []
 
     def test_group_conflict_detected(self):
         g, ic, assignment = self.setup_case()
         steps = {"w0": 0, "w1": 2}  # same group at L=2
-        problems = verify_bus_allocation(g, ic, assignment, steps, 2)
+        problems = bus_problems(g, ic, assignment, steps, 2)
         assert any("conflicts" in p for p in problems)
 
     def test_same_value_same_step_allowed(self):
@@ -127,7 +143,7 @@ class TestVerifyAllocation:
         assignment.assign("wa", 1)
         assignment.assign("wb", 1)
         steps = {"wa": 0, "wb": 0}
-        assert verify_bus_allocation(g, ic, assignment, steps, 2) == []
+        assert bus_problems(g, ic, assignment, steps, 2) == []
 
     def test_incapable_bus_detected(self):
         g = Cdfg()
@@ -135,13 +151,12 @@ class TestVerifyAllocation:
         ic = Interconnect([Bus(1, out_widths={1: 8}, in_widths={2: 8})])
         assignment = BusAssignment()
         assignment.assign("w", 1)
-        problems = verify_bus_allocation(g, ic, assignment, {"w": 0}, 2)
+        problems = bus_problems(g, ic, assignment, {"w": 0}, 2)
         assert any("cannot carry" in p for p in problems)
 
     def test_missing_assignment_detected(self):
         g = Cdfg()
         g.add_node(make_io_node("w", "v", 1, 2))
         ic = Interconnect([])
-        problems = verify_bus_allocation(g, ic, BusAssignment(),
-                                         {"w": 0}, 2)
+        problems = bus_problems(g, ic, BusAssignment(), {"w": 0}, 2)
         assert any("no bus" in p for p in problems)

@@ -63,6 +63,80 @@ class TestFlowRegistry:
 
 
 # ---------------------------------------------------------------------
+# One design-rule check per solve
+# ---------------------------------------------------------------------
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """Every :func:`repro.check.rules.check_result` call, recorded."""
+    from repro.check import rules
+    calls = []
+    real = rules.check_result
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "check_result", counting)
+    return calls
+
+
+class TestOneCheckPerSolve:
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("flow,graph_fn,pins,rate", [
+        ("auto", ar_simple_design, AR_SIMPLE_PINS, 2),
+        ("simple", ar_simple_design, AR_SIMPLE_PINS, 2),
+        ("connection-first", ar_general_design, AR_GENERAL_PINS_UNIDIR,
+         3),
+        ("schedule-first", ar_general_design, AR_GENERAL_PINS_UNIDIR,
+         3),
+    ])
+    def test_synthesize(self, check_calls, flow, graph_fn, pins, rate,
+                        check):
+        result = synthesize(graph_fn(), pins, ar_filter_timing(), rate,
+                            flow=flow, check=check)
+        assert len(check_calls) == 1
+        assert check_calls[0][0] is result
+        assert result.check.ok
+
+    def test_fallback_chain(self, check_calls):
+        from repro.robustness import SolveBudget
+        result = synthesize(ar_general_design(), AR_GENERAL_PINS_UNIDIR,
+                            ar_filter_timing(), 3,
+                            budget=SolveBudget(max_search_steps=3))
+        assert result.diagnostics.fallbacks()[-1].detail["to"] \
+            == "schedule-first"
+        assert len(check_calls) == 1
+
+    @staticmethod
+    def _run_job(**params):
+        from repro.explore.spec import DesignSpace, SweepSpec
+        from repro.explore.worker import run_job
+        space = DesignSpace(name="ar-general", graph=ar_general_design(),
+                            partitioning=AR_GENERAL_PINS_UNIDIR,
+                            timing="ar")
+        job = SweepSpec(base=dict(params, rate=3,
+                                  flow="connection-first")
+                        ).expand(space)[0]
+        return run_job(dict(job.payload(), check=True))
+
+    def test_explorer_job(self, check_calls):
+        record = self._run_job()
+        assert record["status"] == "ok"
+        assert record["check"]["ok"]
+        assert len(check_calls) == 1
+
+    def test_explorer_job_failing_its_check_is_invalid(
+            self, check_calls, early_consumer_backend):
+        record = self._run_job(scheduler=early_consumer_backend)
+        assert record["status"] == "invalid"
+        assert record["error"].startswith("design-rule check failed: ")
+        assert not record["check"]["ok"]
+        assert record["metrics"]["total_pins"] > 0
+        assert len(check_calls) == 1
+
+
+# ---------------------------------------------------------------------
 # Scheduler-backend registry
 # ---------------------------------------------------------------------
 class TestSchedulerRegistry:

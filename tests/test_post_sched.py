@@ -8,7 +8,9 @@ from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
 from repro.core.post_sched import (PostScheduleConnector,
                                    connect_after_scheduling, pair_weight)
-from repro.core.interconnect import verify_bus_allocation
+from repro.check import check_result
+from repro.check.rules import enforceable_violations
+from repro.core.flow import SynthesisResult
 from repro.errors import ConnectionError_
 from repro.modules.library import ar_filter_timing
 from repro.scheduling.base import Schedule
@@ -97,8 +99,11 @@ class TestCliquePartitioning:
         placements = {f"w{i}": i for i in range(6)}
         g, s = scheduled_graph(specs, placements, L=3)
         ic, assignment = connect_after_scheduling(g, s)
-        assert verify_bus_allocation(g, ic, assignment,
-                                     s.start_step, 3) == []
+        result = SynthesisResult(g, None, 3, s, {}, interconnect=ic,
+                                 assignment=assignment)
+        report = check_result(result, rules=("assignment", "bus-capable",
+                                             "bus-conflict"))
+        assert report.violations == []
 
     def test_unscheduled_op_rejected(self):
         g, s = scheduled_graph([("w0", "v0", 1, 2, 8)], {})
@@ -123,8 +128,7 @@ class TestEndToEnd:
             ar_general_design(), AR_GENERAL_PINS_UNIDIR,
             ar_filter_timing(), 3, pipe_length=9)
         assert result.pipe_length <= 9
-        hard = [p for p in result.verify() if "budget" not in p]
-        assert hard == []
+        assert enforceable_violations(result, result.check) == []
 
     def test_elliptic_flow_at_boundary_rate(self):
         from repro import synthesize_schedule_first
@@ -133,5 +137,4 @@ class TestEndToEnd:
         result = synthesize_schedule_first(
             elliptic_design(), ELLIPTIC_PINS_UNIDIR,
             elliptic_filter_timing(), 5, pipe_length=24)
-        hard = [p for p in result.verify() if "budget" not in p]
-        assert hard == []
+        assert enforceable_violations(result, result.check) == []

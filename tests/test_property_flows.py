@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
+from repro.check import CheckError, check_result
+from repro.check.rules import enforceable_violations
+from repro.core.flow import SynthesisResult
 from repro.core.post_sched import connect_after_scheduling
-from repro.core.interconnect import verify_bus_allocation
-from repro.core.simple_connection import (build_simple_connection,
-                                          verify_simple_allocation)
+from repro.core.simple_connection import build_simple_connection
 from repro.designs import random_partitioned_design
 from repro.errors import ReproError
 from repro.modules.allocation import min_module_counts
@@ -40,6 +41,16 @@ def timing():
             HardwareModule("adder", "add", 30.0),
             HardwareModule("multiplier", "mul", 210.0)),
         io_delay_ns=10.0)
+
+
+def rule_problems(graph, schedule, rules, **parts):
+    """Messages of the named rules over a bare schedule plus the
+    interconnect ``parts`` (``interconnect``/``assignment`` or
+    ``simple_allocation``)."""
+    result = SynthesisResult(graph, None, schedule.initiation_rate,
+                             schedule, {}, **parts)
+    report = check_result(result, rules=rules)
+    return [v.message for v in report.violations]
 
 
 # ---------------------------------------------------------------------
@@ -73,7 +84,8 @@ def test_theorem_3_1_construction_conflict_free(case):
     for name, step in placements.items():
         schedule.place(name, step)
     result = build_simple_connection(graph, schedule)
-    assert verify_simple_allocation(graph, schedule, result) == []
+    assert rule_problems(graph, schedule, ("simple-alloc",),
+                         simple_allocation=result) == []
 
 
 @given(simple_star_design())
@@ -83,8 +95,10 @@ def test_post_schedule_connection_conflict_free(case):
     for name, step in placements.items():
         schedule.place(name, step)
     interconnect, assignment = connect_after_scheduling(graph, schedule)
-    assert verify_bus_allocation(graph, interconnect, assignment,
-                                 schedule.start_step, L) == []
+    assert rule_problems(graph, schedule,
+                         ("assignment", "bus-capable", "bus-conflict"),
+                         interconnect=interconnect,
+                         assignment=assignment) == []
 
 
 # ---------------------------------------------------------------------
@@ -96,6 +110,8 @@ def test_connection_first_flow_simulates(seed, rate):
     try:
         result = synthesize_connection_first(graph, partitioning,
                                              timing(), rate)
+    except CheckError:
+        raise  # the flow's own check failed: a dirty result
     except ReproError:
         return  # tight random instance; fine
     assert result.verify() == []
@@ -115,10 +131,11 @@ def test_schedule_first_flow_simulates(seed):
         result = synthesize_schedule_first(graph, partitioning,
                                            timing(), 3,
                                            pipe_length=pipe)
+    except CheckError:
+        raise  # the flow's own check failed: a dirty result
     except ReproError:
         return
-    hard = [p for p in result.verify() if "budget" not in p]
-    assert hard == []
+    assert enforceable_violations(result, check_result(result)) == []
     report = simulate_result(result, n_instances=3, seed=seed)
     assert report.transfers_checked > 0
 

@@ -15,7 +15,7 @@ Two contracts:
 import pytest
 
 from repro import synthesize
-from repro.check import check_result, run_differential
+from repro.check import CheckError, check_result, run_differential
 from repro.check.fuzz import generate_cases
 from repro.check.rules import PIN_RULES, rule_names
 from repro.designs import (AR_GENERAL_PINS_BIDIR, AR_GENERAL_PINS_UNIDIR,
@@ -51,6 +51,21 @@ def _acceptable(result):
         [f"[{v.rule}] {v.message}" for v in report.violations]
 
 
+def _property(name, graph, partitioning, rate):
+    """Whatever ``name`` produces on the design passes every rule."""
+    from repro.explore.worker import resolve_timing
+    try:
+        result = synthesize(graph, partitioning, resolve_timing("ar"),
+                            rate, flow=_driving_flow(name),
+                            scheduler=name,
+                            budget=SolveBudget(deadline_ms=4000))
+    except CheckError:
+        raise  # the flow's own check failed: a dirty result
+    except (ReproError, BudgetExhausted):
+        return  # gave up / infeasible / out of budget: proves nothing
+    _acceptable(result)
+
+
 FUZZ_CASES = list(generate_cases("scheduler-backends", 6))
 
 
@@ -61,15 +76,14 @@ class TestEveryBackendPassesAllRules:
                              ids=lambda c: f"seed{c.seed}")
     def test_fuzz_stream(self, name, case):
         graph, partitioning = case.build()
-        from repro.explore.worker import resolve_timing
-        try:
-            result = synthesize(graph, partitioning, resolve_timing("ar"),
-                                case.rate, flow=_driving_flow(name),
-                                scheduler=name,
-                                budget=SolveBudget(deadline_ms=4000))
-        except (ReproError, BudgetExhausted):
-            return  # gave up / infeasible / out of budget: proves nothing
-        _acceptable(result)
+        _property(name, graph, partitioning, case.rate)
+
+    def test_catches_a_consumer_ahead_of_its_producer(
+            self, early_consumer_backend):
+        with pytest.raises(CheckError) as info:
+            _property(early_consumer_backend, ar_general_design(),
+                      AR_GENERAL_PINS_UNIDIR, 3)
+        assert "precedence" in info.value.report.by_rule()
 
 
 BUILTINS = [

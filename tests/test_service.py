@@ -150,6 +150,20 @@ class TestEndpoints:
             perf = client.metrics()["perf"]
             assert perf["counters"], "solver counters never merged"
 
+    def test_result_failing_its_check_is_invalid(
+            self, early_consumer_backend):
+        with make_server() as server:
+            client = ServiceClient(port=server.port)
+            response = client.synthesize(
+                "ar-general", rate=3, flow="connection-first",
+                scheduler=early_consumer_backend, timeout_ms=60000)
+            assert response["status"] == "invalid"
+            assert not response["check"]["ok"]
+            rules = {v["rule"] for v in response["check"]["violations"]}
+            assert "precedence" in rules
+            assert_schema(response)
+            assert counters(client)["invalid"] == 1
+
 
 # ---------------------------------------------------------------------
 class TestCoalescing:

@@ -86,7 +86,7 @@ class TestPipelineSimulation:
 
     def test_corrupted_assignment_detected(self):
         # Force two different values onto one bus slot: the simulator
-        # must catch the conflict that verify_bus_allocation would.
+        # must catch the conflict the bus-conflict rule would.
         result = synthesize_connection_first(
             ar_general_design(), AR_GENERAL_PINS_UNIDIR,
             ar_filter_timing(), 3)

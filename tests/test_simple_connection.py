@@ -4,8 +4,9 @@ import pytest
 
 from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
-from repro.core.simple_connection import (build_simple_connection,
-                                          verify_simple_allocation)
+from repro.check import check_result
+from repro.core.flow import SynthesisResult
+from repro.core.simple_connection import build_simple_connection
 from repro.errors import ConnectionError_
 from repro.modules.library import ar_filter_timing
 from repro.scheduling.base import Schedule
@@ -16,6 +17,14 @@ def schedule_for(graph, placements, L=2):
     for name, step in placements.items():
         s.place(name, step)
     return s
+
+
+def alloc_problems(graph, schedule, allocation):
+    """Messages of the Theorem 3.1 ``simple-alloc`` rule."""
+    result = SynthesisResult(graph, None, schedule.initiation_rate,
+                             schedule, {}, simple_allocation=allocation)
+    report = check_result(result, rules=("simple-alloc",))
+    return [v.message for v in report.violations]
 
 
 class TestPlainPair:
@@ -29,7 +38,7 @@ class TestPlainPair:
         result = build_simple_connection(g, s)
         assert result.pins_used(1) == 16
         assert result.pins_used(2) == 16
-        assert verify_simple_allocation(g, s, result) == []
+        assert alloc_problems(g, s, result) == []
 
 
 class TestFanoutStar:
@@ -51,7 +60,7 @@ class TestFanoutStar:
         assert result.pins_used(4) == 8
         assert result.pins_used(1) == 8
         assert result.pins_used(2) == 8
-        assert verify_simple_allocation(g, s, result) == []
+        assert alloc_problems(g, s, result) == []
 
     def test_unshared_schedule_needs_more_output(self):
         g = self.graph()
@@ -60,7 +69,7 @@ class TestFanoutStar:
         s = schedule_for(g, {"a1": 0, "a2": 1, "b1": 1, "b2": 0})
         result = build_simple_connection(g, s)
         assert result.pins_used(4) == 16
-        assert verify_simple_allocation(g, s, result) == []
+        assert alloc_problems(g, s, result) == []
 
 
 class TestFaninStar:
@@ -75,7 +84,7 @@ class TestFaninStar:
         s = schedule_for(g, {"x1": 0, "x2": 1, "x3": 0, "x4": 1})
         result = build_simple_connection(g, s)
         assert result.pins_used(3) == 16
-        assert verify_simple_allocation(g, s, result) == []
+        assert alloc_problems(g, s, result) == []
 
     def test_overflow_rides_shared_bundle(self):
         g = Cdfg()
@@ -86,7 +95,7 @@ class TestFaninStar:
         # M_a = 16? No: from P1 peak is 8 (x1 g0, x2 g1); from P2 8.
         s = schedule_for(g, {"x1": 0, "x2": 1, "x3": 0})
         result = build_simple_connection(g, s)
-        assert verify_simple_allocation(g, s, result) == []
+        assert alloc_problems(g, s, result) == []
         assert result.pins_used(3) == 16
 
 

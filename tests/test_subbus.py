@@ -4,7 +4,6 @@ import pytest
 
 from repro.cdfg import Cdfg
 from repro.cdfg.graph import make_io_node
-from repro.core.interconnect import verify_bus_allocation
 from repro.core.subbus import (SubBusConnectionSearch,
                                synthesize_connection_subbus)
 from repro.errors import ConnectionError_

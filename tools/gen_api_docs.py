@@ -79,8 +79,9 @@ register_scheduler("mine", my_backend,
 ```
 
 `repro.synthesize(..., scheduler="mine")` then drives it; its results
-face the same `ResourceTable` pin accounting, `require_valid()`
-verification, and unified design rules as the built-ins.  Backends
+face the same `ResourceTable` pin accounting and the same one
+design-rule check (`result.check`, `CheckError` on a violation) as the
+built-ins.  Backends
 with `kind="time"` are called as `factory(graph, timing, rate,
 pipe_length, budget, diagnostics)` instead.
 """,
