@@ -22,6 +22,12 @@ a shareable :class:`OracleStore`:
   implies infeasible.  Many neighbor-point queries need no ILP at all;
 * **JSONL persistence** under the :mod:`repro.jsonl` contract, like
   the explorer's :class:`repro.explore.cache.ResultCache`;
+* **coverage pruning** — a record is kept only if no entry already
+  under its key answers every query the record would answer (see
+  :func:`_covers`).  The checker re-records each finished schedule's
+  whole commit trajectory, and on neighbouring budgets almost all of
+  those re-records say nothing new; dropping them keeps buckets, the
+  file and every delta small without changing any answer;
 * **cross-process deltas** — forked pool workers inherit the parent's
   store (see :func:`activate`), record into memory only, and ship the
   appended suffix back via :meth:`delta_since` for the parent to
@@ -93,6 +99,51 @@ def _witness_fits(witness: BudgetVector, budgets: BudgetVector) -> bool:
                if w >= 0 and b >= 0)
 
 
+#: One kept verdict: (budget vector, verdict, witness-or-None).
+Entry = Tuple[BudgetVector, bool, Optional[BudgetVector]]
+
+
+def _covers(old: Entry, budgets: BudgetVector, verdict: bool,
+            witness: Optional[BudgetVector]) -> bool:
+    """Does ``old`` answer every query the new record would answer?
+
+    The verdicts must match.  *Infeasible*: ``old`` sits at a
+    component-wise ``>=`` budget vector.  *Feasible*: ``old`` answers
+    the new budget vector (dominance or witness fit, hence everything
+    above it too) and, if the new record has a witness, ``old``'s
+    witness is component-wise ``<=`` it — no larger on every slot the
+    new one constrains, ``-1`` wherever the new one is ``-1``.  An
+    entry without a witness covers only through its budget vector.
+    Verdicts are exact, so dropping a covered record changes no
+    :meth:`OracleStore.lookup` answer; an ``"exact"`` hit may become
+    a ``"dominance"`` one.
+    """
+    vec, old_verdict, old_witness = old
+    if old_verdict != verdict:
+        return False
+    if not verdict:
+        return _dominates_le(budgets, vec)
+    if not (_dominates_le(vec, budgets)
+            or (old_witness is not None
+                and _witness_fits(old_witness, budgets))):
+        return False
+    return witness is None or (old_witness is not None
+                               and _dominates_le(old_witness, witness))
+
+
+def _plain(key: OracleKey, budgets: BudgetVector, verdict: bool,
+           witness: Optional[BudgetVector]) -> Dict[str, Any]:
+    """The JSON-able form of a kept entry (log, delta and file line)."""
+    entry: Dict[str, Any] = {
+        "sig": key[0], "fp": [list(p) for p in key[1]],
+        "node": key[2], "group": key[3],
+        "budgets": [int(b) for b in budgets], "verdict": verdict,
+    }
+    if witness is not None:
+        entry["witness"] = [int(w) for w in witness]
+    return entry
+
+
 class OracleStore:
     """Budget-indexed verdict lists with dominance lookup.
 
@@ -100,6 +151,11 @@ class OracleStore:
     persistence is optional and append-only.  A store created in a
     parent process stops writing to disk after a ``fork`` — children
     record in memory and return deltas, the parent owns the file.
+
+    Entries are never evicted: a record is either kept (appended to its
+    bucket, the log and the file) or dropped as covered on arrival.
+    Loading a file and merging a delta apply the same rule in the same
+    order, so every kept entry reloads.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
@@ -110,11 +166,9 @@ class OracleStore:
         #: feasible point that proved a True verdict; it transfers the
         #: verdict to every budget vector it still fits (a far sharper
         #: shortcut than budget dominance alone).
-        self._entries: Dict[
-            OracleKey,
-            List[Tuple[BudgetVector, bool,
-                       Optional[BudgetVector]]]] = {}
-        #: Flat append log, the unit of cross-process delta shipping.
+        self._entries: Dict[OracleKey, List[Entry]] = {}
+        #: Flat append log of kept entries, the unit of cross-process
+        #: delta shipping.
         self._log: List[Dict[str, Any]] = []
         self._pid = os.getpid()
         self.exact_hits = 0
@@ -135,35 +189,34 @@ class OracleStore:
         jsonl.append(self.path, dict(entry, v=STORE_VERSION))
 
     # -- entry plumbing ------------------------------------------------
-    @staticmethod
-    def _entry_key(entry: Mapping[str, Any]) -> OracleKey:
-        fingerprint = tuple((str(op), int(group))
-                            for op, group in entry["fp"])
-        return (str(entry["sig"]), fingerprint,
-                str(entry["node"]), int(entry["group"]))
-
-    def _insert(self, entry: Mapping[str, Any], log: bool) -> bool:
-        """Index one plain-data entry; returns True if new."""
-        key = self._entry_key(entry)
-        budgets = tuple(int(b) for b in entry["budgets"])
-        verdict = bool(entry["verdict"])
-        raw_witness = entry.get("witness")
-        witness = (None if raw_witness is None
-                   else tuple(int(w) for w in raw_witness))
-        bucket = self._entries.setdefault(key, [])
-        if any(vec == budgets and v == verdict and w == witness
-               for vec, v, w in bucket):
+    def _keep(self, key: OracleKey, budgets: BudgetVector, verdict: bool,
+              witness: Optional[BudgetVector]) -> bool:
+        """Index one verdict unless an entry under ``key`` covers it;
+        returns True if kept."""
+        bucket = self._entries.get(key)
+        if bucket is None:
+            bucket = self._entries[key] = []
+        elif any(_covers(old, budgets, verdict, witness)
+                 for old in bucket):
             return False
         bucket.append((budgets, verdict, witness))
+        return True
+
+    def _insert(self, entry: Mapping[str, Any], log: bool) -> bool:
+        """Index one plain-data entry (file line or delta item);
+        returns True if kept."""
+        key = (str(entry["sig"]),
+               tuple((str(op), int(group)) for op, group in entry["fp"]),
+               str(entry["node"]), int(entry["group"]))
+        budgets = tuple(int(b) for b in entry["budgets"])
+        verdict = bool(entry["verdict"])
+        raw_witness = entry.get("witness") if verdict else None
+        witness = (None if raw_witness is None
+                   else tuple(int(w) for w in raw_witness))
+        if not self._keep(key, budgets, verdict, witness):
+            return False
         if log:
-            logged = {
-                "sig": key[0], "fp": [list(p) for p in key[1]],
-                "node": key[2], "group": key[3],
-                "budgets": list(budgets), "verdict": verdict,
-            }
-            if witness is not None:
-                logged["witness"] = list(witness)
-            self._log.append(logged)
+            self._log.append(_plain(key, budgets, verdict, witness))
         return True
 
     # -- public API ----------------------------------------------------
@@ -206,17 +259,18 @@ class OracleStore:
         """Record an exact-method verdict (and persist it).
 
         ``witness`` — only meaningful with ``verdict=True`` — is the
-        pin-usage vector of the feasible point the solver found.
+        pin-usage vector of the feasible point the solver found.  A
+        record an existing entry covers is dropped before its
+        plain-data form is built.
         """
-        entry = {
-            "sig": key[0], "fp": [list(p) for p in key[1]],
-            "node": key[2], "group": key[3],
-            "budgets": list(budgets), "verdict": bool(verdict),
-        }
-        if verdict and witness is not None:
-            entry["witness"] = [int(w) for w in witness]
+        verdict = bool(verdict)
+        budgets = tuple(budgets)
+        witness = (tuple(witness)
+                   if verdict and witness is not None else None)
         with self._lock:
-            if self._insert(entry, log=True):
+            if self._keep(key, budgets, verdict, witness):
+                entry = _plain(key, budgets, verdict, witness)
+                self._log.append(entry)
                 self._persist(entry)
 
     # -- cross-process aggregation -------------------------------------
@@ -231,10 +285,11 @@ class OracleStore:
             return [dict(entry) for entry in self._log[mark:]]
 
     def merge(self, delta: Optional[List[Mapping[str, Any]]]) -> int:
-        """Fold a worker's delta in; returns the number of new entries.
+        """Fold a worker's delta in; returns the number of kept entries.
 
-        New entries are persisted and re-logged, so deltas propagate
-        transitively (worker -> sweep store -> service store).
+        Kept entries are persisted and re-logged, so deltas propagate
+        transitively (worker -> sweep store -> service store); entries
+        this store already covers are dropped.
         """
         if not delta:
             return 0
@@ -256,10 +311,7 @@ class OracleStore:
         with self._lock:
             return sum(len(b) for b in self._entries.values())
 
-    def items(self) -> Iterator[
-            Tuple[OracleKey,
-                  List[Tuple[BudgetVector, bool,
-                             Optional[BudgetVector]]]]]:
+    def items(self) -> Iterator[Tuple[OracleKey, List[Entry]]]:
         with self._lock:
             return iter(list(self._entries.items()))
 

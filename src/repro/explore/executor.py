@@ -215,13 +215,14 @@ class Executor:
         sweep_perf.merge(record.get("perf") or {})
         spans = record.pop("spans", None)
         hub_delta = record.pop("hub", None)
+        oracle_delta = record.pop("oracle_delta", None)
         if merge_global:
             # Pool workers incremented *their* PERF; fold the deltas
             # into the parent so the sweep looks like one process.
             PERF.merge(record.get("perf") or {})
             if self.oracle_store is not None:
                 # Likewise the oracle entries a forked worker proved.
-                self.oracle_store.merge(record.get("oracle_delta"))
+                self.oracle_store.merge(oracle_delta)
             # Same for the worker's spans and histogram observations;
             # inline runs recorded directly into the parent's TRACER /
             # HUB, so merging there would double-count.

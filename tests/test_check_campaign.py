@@ -261,6 +261,11 @@ class TestLiveCampaign:
         assert report.ok
 
 
+def _line_count(path):
+    with open(path, "rb") as handle:
+        return sum(1 for _ in handle)
+
+
 class TestOracleDurability:
     def test_shard_oracle_files_survive_torn_tails(self):
         from repro.core.oracle_store import OracleStore
@@ -274,8 +279,16 @@ class TestOracleDurability:
                               timeout_ms=4000)
             before = len(store)
             assert before > 0
-            harness.tear_oracle_files(b'{"budgets":[1],"fp":')
+            # Looser budgets on the same design: every verdict the
+            # re-solve proves is covered by one already kept.
+            lines = _line_count(store.path)
             client.synthesize("ar-simple", rate=3, pin_scale=3.5,
+                              timeout_ms=4000)
+            assert len(store) == before
+            assert _line_count(store.path) == lines
+            harness.tear_oracle_files(b'{"budgets":[1],"fp":')
+            # A new rate is a new design signature: new keys to record.
+            client.synthesize("ar-simple", rate=4, pin_scale=3.0,
                               timeout_ms=4000)
             assert len(store) > before
             assert harness.oracle_violations() == []

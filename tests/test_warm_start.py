@@ -7,8 +7,12 @@ warm tier may only skip work, never change answers.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flow import synthesize
 from repro.core.oracle_store import (INIT_GROUP, INIT_NODE, OracleStore,
@@ -158,6 +162,147 @@ class TestOracleStore:
         assert stats["exact_hits"] == 1
         assert stats["dominance_hits"] == 1  # witnessless dominance
         assert 0.0 <= stats["hit_rate"] <= 1.0
+
+
+# ---------------------------------------------------------------------
+class TestCoveragePruning:
+    def test_covered_feasible_record_is_dropped(self):
+        store = OracleStore()
+        store.record(KEY, (10, 4, 4), True, witness=(3, 1, 2))
+        mark = store.mark()
+        # Answered by witness fit, and its witness is no tighter.
+        store.record(KEY, (6, 2, 3), True, witness=(3, 1, 2))
+        store.record(KEY, (12, 5, 5), True)
+        assert len(store) == 1
+        assert store.delta_since(mark) == []
+        # A pruned entry's own budgets answer by dominance instead.
+        assert store.lookup(KEY, (6, 2, 3)) == (True, "dominance")
+
+    def test_tighter_witness_is_kept(self):
+        store = OracleStore()
+        store.record(KEY, (10, 4, 4), True, witness=(3, 1, 2))
+        store.record(KEY, (10, 4, 4), True, witness=(2, 1, 2))
+        assert len(store) == 2
+        assert store.lookup(KEY, (2, 1, 2)) == (True, "dominance")
+
+    def test_unbounded_witness_slot_is_not_covered(self):
+        store = OracleStore()
+        store.record(KEY, (4, 4, 4), True, witness=(2, 0, 0))
+        # The new witness leaves slot 0 unbounded; the older one bounds
+        # it, so it cannot answer (0, 0, 0) and does not cover.
+        store.record(KEY, (3, 0, 0), True, witness=(-1, 0, 0))
+        assert len(store) == 2
+        assert store.lookup(KEY, (0, 0, 0)) == (True, "dominance")
+
+    def test_witnessless_entry_does_not_cover_a_witness(self):
+        store = OracleStore()
+        store.record(KEY, (6, 3, 3), True)
+        store.record(KEY, (8, 4, 4), True, witness=(2, 1, 1))
+        assert len(store) == 2
+        assert store.lookup(KEY, (2, 1, 1)) == (True, "dominance")
+
+    def test_infeasible_covered_only_from_above(self):
+        store = OracleStore()
+        store.record(KEY, (6, 3, 3), False)
+        store.record(KEY, (5, 3, 2), False)
+        assert len(store) == 1
+        store.record(KEY, (7, 3, 3), False)
+        assert len(store) == 2
+
+    def test_verdicts_never_cover_each_other(self):
+        store = OracleStore()
+        store.record(KEY, (6, 3, 3), False)
+        store.record(KEY, (6, 3, 3), True)
+        assert len(store) == 2
+
+
+#: The property test's budget vectors: one chip's (total, input,
+#: output) slots over a few pin values, so the query grid stays
+#: exhaustive and small.
+SLOTS = 3
+PINS = range(0, 4)
+
+
+def _fits(usage, budgets):
+    return all(u <= b for u, b in zip(usage, budgets) if u >= 0 and b >= 0)
+
+
+def _le(small, large):
+    return all(a <= b for a, b in zip(small, large))
+
+
+def _reference(records, budgets):
+    """What a store that keeps every record answers (verdict or None)."""
+    for vec, verdict, witness in records:
+        if verdict and (_le(vec, budgets)
+                        or (witness is not None and _fits(witness, budgets))):
+            return True
+        if not verdict and _le(budgets, vec):
+            return False
+    return None
+
+
+def _grid(pattern):
+    """Every budget vector of one split pattern (-1 in unbounded slots)."""
+    vectors = [()]
+    for unbounded in pattern:
+        values = (-1,) if unbounded else PINS
+        vectors = [vec + (v,) for vec in vectors for v in values]
+    return vectors
+
+
+@st.composite
+def sound_records(draw):
+    """Records proved against a hidden monotone rule.
+
+    The rule is "feasible iff one of the hidden usage vectors fits the
+    budgets", with ``-1`` meaning an unbounded slot on either side; the
+    split pattern (which budget slots are ``-1``) is fixed per key, as
+    the design signature fixes it.  Feasible records carry no witness,
+    a fitting usage vector, or one loosened up to the budgets.
+    """
+    pattern = draw(st.lists(st.booleans(), min_size=SLOTS,
+                            max_size=SLOTS))
+    slot = st.one_of(st.just(-1), st.integers(0, PINS[-1]))
+    usages = draw(st.lists(st.tuples(*[slot] * SLOTS), max_size=4))
+    records = []
+    for _ in range(draw(st.integers(1, 16))):
+        budgets = tuple(-1 if unbounded else draw(st.sampled_from(PINS))
+                        for unbounded in pattern)
+        fitting = [u for u in usages if _fits(u, budgets)]
+        if not fitting:
+            records.append((budgets, False, None))
+            continue
+        witness = draw(st.sampled_from([None] + fitting))
+        if witness is not None and draw(st.booleans()):
+            witness = tuple(b if u >= 0 and b >= 0 and draw(st.booleans())
+                            else u for u, b in zip(witness, budgets))
+        records.append((budgets, True, witness))
+    return pattern, usages, records
+
+
+class TestCoveragePreservesAnswers:
+    @given(sound_records())
+    @settings(max_examples=200, deadline=None)
+    def test_pruning_never_changes_an_answer(self, drawn):
+        pattern, usages, records = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "oracle.jsonl")
+            store = OracleStore(path)
+            for budgets, verdict, witness in records:
+                store.record(KEY, budgets, verdict, witness=witness)
+            for query in _grid(pattern):
+                expected = _reference(records, query)
+                if expected is not None:  # the records are sound
+                    assert expected == any(_fits(u, query) for u in usages)
+                hit = store.lookup(KEY, query)
+                assert (None if hit is None else hit[0]) == expected, query
+
+            kept = dict(store.items())
+            assert dict(OracleStore(path).items()) == kept
+            merged = OracleStore()
+            merged.merge(store.delta_since(0))
+            assert dict(merged.items()) == kept
 
 
 # ---------------------------------------------------------------------
@@ -333,6 +478,24 @@ class TestWarmExecutorEqualsCold:
         assert warm == cold
         assert len(cold) == len(jobs)
         assert all(status == "ok" for status, _ in cold.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_drop_oracle_deltas_after_merge(self, workers):
+        spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],
+                               "pin_scale": [2.0, 1.9]})
+        jobs = spec.expand(design_space("ar-stacked-2"))
+        store = OracleStore()
+        result = Executor(workers=workers, cache=ResultCache(), warm=True,
+                          oracle_store=store).run(jobs)
+        assert all(p["status"] == "ok" for p in result.points)
+        assert not any("oracle_delta" in p for p in result.points)
+        # The verdicts live on in the sweep's store, merged from the
+        # pool worker or recorded inline.
+        assert len(store) > 0
+        assert store.lookup(
+            (design_signature(jobs[0].graph, jobs[0].partitioning, 2),
+             (), INIT_NODE, INIT_GROUP),
+            budget_vector(jobs[0].partitioning)) == (True, "exact")
 
 
 # ---------------------------------------------------------------------
