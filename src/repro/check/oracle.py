@@ -220,9 +220,10 @@ def run_differential(graph, partitioning, timing, initiation_rate,
     ``schedulers`` widens the participant set along the backend axis:
     each flow runs once per requested scheduler backend that supports
     it (see :func:`repro.pipeline.scheduler_names`), so e.g.
-    ``schedulers=("list", "heap", "modulo")`` pits the heap and modulo
-    schedulers against the list baseline — and, through the flow axis,
-    against FDS — on one design.
+    ``schedulers=("list", "modulo")`` pits the modulo scheduler
+    against the list baseline — and, through the flow axis, against
+    FDS — on one design.  A deprecated alias (``heap``) resolves to
+    its canonical name and adds no participant of its own.
 
     Returns an :class:`OracleReport`; ``report.ok`` means no flow
     produced a dirty result, no feasibility disagreement, and no clean

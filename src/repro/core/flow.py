@@ -18,7 +18,7 @@ Every flow is a declarative pass list in the pass-pipeline registry
 types and the dispatch/degradation policy, while the flow *bodies*
 live as passes in :mod:`repro.pipeline.passes` running over a typed
 :class:`repro.pipeline.context.FlowContext`.  Scheduler backends
-(``list``, ``heap``, ``postpone``, ``modulo``, ``fds``) are registry
+(``list``, ``postpone``, ``modulo``, ``fds``) are registry
 entries too — :func:`repro.pipeline.register_scheduler` plugs new ones
 into the flows, the CLI, the explorer, and the differential oracle.
 

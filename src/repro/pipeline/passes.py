@@ -9,9 +9,9 @@ semantics — so a registry-dispatched run is byte-identical to the old
 bespoke call path.
 
 Scheduling passes resolve ``options.scheduler`` against the backend
-registry, so new backends (heap-driven list scheduling, modulo
-scheduling) plug into the Chapter 3 and Chapter 4/6 flows without any
-flow-specific wiring.
+registry, so backends (postponement rounds, modulo scheduling,
+third-party schedulers) plug into the Chapter 3 and Chapter 4/6 flows
+without any flow-specific wiring.
 """
 
 from __future__ import annotations
@@ -236,9 +236,9 @@ class ScheduleBusAllocated:
     """Scheduling with dynamic bus (re)assignment hooks.
 
     Every backend receives a factory producing fresh
-    :class:`BusAllocator` hooks over the searched interconnect; the
-    postponement backend consumes several across its rounds, the
-    others exactly one.  The last allocator's assignment is final.
+    :class:`BusAllocator` hooks over the searched interconnect; backends
+    that retry (postponement rounds, modulo's unguided rung) consume
+    one per attempt.  The last allocator's assignment is final.
     """
 
     name = "schedule"
@@ -247,12 +247,12 @@ class ScheduleBusAllocated:
         backend = _resolved_backend(ctx, "connection-first")
         opts = ctx.options
         created: List[BusAllocator] = []
-        fresh_copy = backend.name == "postpone"
 
         def hooks_factory():
-            initial = ctx.initial.copy() if fresh_copy else ctx.initial
+            # BusAllocator copies the initial assignment and never
+            # writes to it, so every attempt can share ctx.initial.
             allocator = BusAllocator(ctx.graph, ctx.interconnect,
-                                     initial, ctx.initiation_rate,
+                                     ctx.initial, ctx.initiation_rate,
                                      reassignment=opts.reassignment)
             created.append(allocator)
             return allocator

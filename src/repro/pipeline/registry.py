@@ -15,11 +15,12 @@ Two registries live here:
 
 * **Scheduler backend registry** — every scheduler the Chapter 3/4/6
   flows can drive is a :class:`SchedulerBackend` entry; the built-ins
-  are ``list`` (Figure 3.4 per-step list scheduling), ``heap``
-  (heap-driven ready list), ``postpone`` (iterative postponement
-  rounds), ``modulo`` (IMS placement + legalization), and ``fds``
-  (the time-constrained Chapter 5 scheduler).  Third parties add
-  their own with :func:`register_scheduler`; registered names are
+  are ``list`` (Figure 3.4 list scheduling on one (step, round)
+  heap), ``postpone`` (iterative postponement rounds on the same
+  engine), ``modulo`` (IMS placement legalized by the same engine),
+  and ``fds`` (the time-constrained Chapter 5 scheduler).  ``heap``
+  is a deprecated alias of ``list``.  Third parties add their own
+  with :func:`register_scheduler`; registered names are
   automatically valid ``--scheduler`` / explorer-axis values and
   differential-oracle participants.
 """
@@ -48,6 +49,7 @@ DEPRECATED_SCHEDULER_ALIASES = {
     "postponed": "postpone",
     "force-directed": "fds",
     "force_directed": "fds",
+    "heap": "list",
 }
 
 
@@ -55,22 +57,22 @@ DEPRECATED_SCHEDULER_ALIASES = {
 class SchedulerBackend:
     """One registered scheduler.
 
-    ``kind`` declares the driving convention:
+    The flow decides how ``factory`` is called:
 
-    * ``"iohooks"`` / ``"rounds"`` — resource-constrained; ``factory``
-      is called as ``factory(graph, timing, rate, resources,
-      hooks_factory, budget, diagnostics)`` and must return a
-      finished :class:`Schedule`.  ``hooks_factory`` yields a fresh
-      :class:`IoHooks` per call; backends that run several attempts
-      (postponement rounds, modulo legalization retries) call it once
-      per attempt.
-    * ``"time"`` — time-constrained; called as ``factory(graph,
-      timing, rate, pipe_length, budget, diagnostics)``.
+    * the ``simple`` and ``connection-first`` schedule passes call
+      :meth:`run_scheduler`, i.e. ``factory(graph, timing, rate,
+      resources, hooks_factory, budget, diagnostics)``, which must
+      return a finished :class:`Schedule`.  ``hooks_factory`` yields a
+      fresh :class:`IoHooks` per call; backends that run several
+      attempts (postponement rounds, modulo legalization retries) call
+      it once per attempt.
+    * the ``schedule-first`` flow calls :meth:`run_time_scheduler` on
+      the ``fds`` entry, i.e. ``factory(graph, timing, rate,
+      pipe_length, budget, diagnostics)``.
     """
 
     name: str
     factory: Callable
-    kind: str = "iohooks"
     flows: Tuple[str, ...] = ("simple", "connection-first")
     description: str = ""
 
@@ -89,7 +91,6 @@ _SCHEDULERS: Dict[str, SchedulerBackend] = {}
 
 
 def register_scheduler(name: str, factory: Callable, *,
-                       kind: str = "iohooks",
                        flows: Tuple[str, ...] = ("simple",
                                                  "connection-first"),
                        description: str = "",
@@ -111,7 +112,7 @@ def register_scheduler(name: str, factory: Callable, *,
             f"{name!r} is a deprecated alias of "
             f"{DEPRECATED_SCHEDULER_ALIASES[name]!r}; register the "
             f"canonical name instead")
-    backend = SchedulerBackend(name=name, factory=factory, kind=kind,
+    backend = SchedulerBackend(name=name, factory=factory,
                                flows=tuple(flows),
                                description=description)
     _SCHEDULERS[name] = backend
@@ -153,14 +154,6 @@ def _run_list(graph, timing, rate, resources, hooks_factory, budget,
                          io_hooks=hooks_factory(), budget=budget).run()
 
 
-def _run_heap(graph, timing, rate, resources, hooks_factory, budget,
-              diagnostics):
-    from repro.scheduling.heap_list import HeapListScheduler
-    return HeapListScheduler(graph, timing, rate, resources,
-                             io_hooks=hooks_factory(),
-                             budget=budget).run()
-
-
 def _run_postpone(graph, timing, rate, resources, hooks_factory,
                   budget, diagnostics):
     from repro.scheduling.postpone import schedule_with_postponement
@@ -185,13 +178,10 @@ def _run_fds(graph, timing, rate, pipe_length, budget, diagnostics):
 
 register_scheduler(
     "list", _run_list,
-    description="per-step priority list scheduling (Figure 3.4)")
+    description="priority list scheduling on a (step, round) heap "
+                "(Figure 3.4)")
 register_scheduler(
-    "heap", _run_heap,
-    description="heap-driven ready list keyed by step/deadline/"
-                "criticality")
-register_scheduler(
-    "postpone", _run_postpone, kind="rounds",
+    "postpone", _run_postpone,
     flows=("connection-first",),
     description="list scheduling with iterative postponement rounds")
 register_scheduler(
@@ -199,7 +189,7 @@ register_scheduler(
     description="IMS modulo placement at II=L, legalized by list "
                 "scheduling")
 register_scheduler(
-    "fds", _run_fds, kind="time", flows=("schedule-first",),
+    "fds", _run_fds, flows=("schedule-first",),
     description="time-constrained force-directed scheduling "
                 "(Section 5.2)")
 

@@ -8,11 +8,11 @@ transfer must land in the same control step.
   scheduling with pluggable I/O feasibility hooks (the pin-allocation
   checker of Chapter 3 or the bus-availability/reassignment logic of
   Chapter 4), chaining, multi-cycle allocation wheels and
-  recursive-edge deadline checks.
+  recursive-edge deadline checks.  One heap keyed by (step, round)
+  drives it; the ``list``, ``postpone`` and ``modulo`` backends all
+  run on it.
 * :mod:`repro.scheduling.fds` — force-directed scheduling (Chapter 5)
   minimizing resource concurrency under a pipe-length constraint.
-* :mod:`repro.scheduling.heap_list` — heap-driven priority list
-  scheduling (the ``heap`` backend).
 * :mod:`repro.scheduling.modulo` — pipeline/modulo scheduling at
   ``II = L`` with MII fail-fast and list-scheduler legalization (the
   ``modulo`` backend).
@@ -31,7 +31,6 @@ from repro.scheduling.list_scheduler import (
 )
 from repro.scheduling.postpone import schedule_with_postponement
 from repro.scheduling.fds import ForceDirectedScheduler
-from repro.scheduling.heap_list import HeapListScheduler
 from repro.scheduling.modulo import ModuloScheduler, resource_mii
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "DeadlineMissed",
     "schedule_with_postponement",
     "ForceDirectedScheduler",
-    "HeapListScheduler",
     "ModuloScheduler",
     "resource_mii",
 ]

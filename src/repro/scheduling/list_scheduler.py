@@ -9,6 +9,19 @@ availability with dynamic reassignment.  If the hook says no, the I/O
 operation is postponed to a later control step, exactly as in the
 dissertation's flow chart.
 
+The ready list is one heap keyed ``(step, round, deadline,
+-criticality, name)``.  An operation enters it when its last
+(non-recursive) predecessor is placed, at its data-ready step.  A
+control step runs in *rounds* because a chained placement can make
+more operations ready in the same step: round 0 of step *s* holds the
+operations that were ready when *s* opened, an operation released by a
+placement in round *r* joins round *r* + 1 (or round 0 of its later
+data-ready step), and the operations a round could not place are
+retried in the next round if that round placed anything, else in
+round 0 of *s* + 1.  Within a round the earliest recursive deadline
+goes first, then the most critical operation.  Steps are visited in
+order, which is what the stateful hooks rely on for their commits.
+
 Multi-cycle operations pass the allocation-wheel *safety check* of
 Section 7.4: a tentative placement is undone (postponed) if the
 fragmentation it causes leaves too little wheel capacity for the
@@ -17,6 +30,7 @@ remaining operations of that type.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 
@@ -64,6 +78,18 @@ class DeadlineMissed(SchedulingError):
         self.partial = partial
 
 
+def critical_path_ns(graph: Cdfg, timing: TimingSpec) -> Dict[str, float]:
+    """Longest ns path from each node to any sink (its criticality)."""
+    height: Dict[str, float] = {}
+    for name in reversed(topological_order(graph)):
+        below = 0.0
+        for edge in graph.out_edges(name):
+            if not edge.is_recursive():
+                below = max(below, height[edge.dst])
+        height[name] = below + timing.delay_ns(graph.node(name))
+    return height
+
+
 class ListScheduler:
     """One-shot scheduler; construct, then call :meth:`run`."""
 
@@ -85,7 +111,7 @@ class ListScheduler:
         self.max_steps = max_steps or self._default_max_steps()
         #: Cooperative cancellation token, ticked once per control step.
         self.budget = as_token(budget)
-        self._priority = self._compute_priorities()
+        self._priority = critical_path_ns(graph, timing)
         self._deadline = self._compute_deadlines()
 
     # ------------------------------------------------------------------
@@ -94,19 +120,6 @@ class ListScheduler:
         for node in self.graph.nodes():
             worst += max(1, self.timing.cycles(node))
         return worst + 8 * self.L + 8
-
-    def _compute_priorities(self) -> Dict[str, float]:
-        """Longest ns path from each node to any sink (critical path)."""
-        priority: Dict[str, float] = {}
-        for name in reversed(topological_order(self.graph)):
-            node = self.graph.node(name)
-            below = 0.0
-            for edge in self.graph.out_edges(name):
-                if edge.is_recursive():
-                    continue
-                below = max(below, priority[edge.dst])
-            priority[name] = below + self.timing.delay_ns(node)
-        return priority
 
     def _compute_deadlines(self) -> Dict[str, float]:
         """Static deadlines from recursive max-time constraints.
@@ -147,27 +160,56 @@ class ListScheduler:
                     deadline[name] = candidate
         return deadline
 
-    def _ready_key(self, name: str):
-        """Sort key: earliest deadline first, then critical path."""
-        return (self._deadline[name], -self._priority[name], name)
+    def _effective_preds(self, name: str) -> Set[str]:
+        """Non-free predecessors, reached through any free nodes.
+
+        Free nodes (constants, split/merge) are never scheduled; an
+        operation is released once all of these are placed.
+        """
+        out: Set[str] = set()
+        for edge in self.graph.in_edges(name):
+            if edge.is_recursive():
+                continue
+            if self.graph.node(edge.src).is_free():
+                out |= self._effective_preds(edge.src)
+            else:
+                out.add(edge.src)
+        return out
+
+    def _candidate_step(self, name: str, schedule: Schedule) -> int:
+        """First step worth trying: the data-ready step, raised to any
+        caller-imposed ``min_steps`` (Sec 5.3)."""
+        ready = self._data_ready_ns(name, schedule)
+        step = int(math.floor(ready / self.timing.clock_period + _EPS))
+        return max(step, self.min_steps.get(name, 0))
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
-        graph = self.graph
-        timing = self.timing
-        period = timing.clock_period
-        schedule = Schedule(graph, timing, self.L)
-        pool = ResourcePool(self.resources, timing, self.L)
+        schedule = Schedule(self.graph, self.timing, self.L)
+        pool = ResourcePool(self.resources, self.timing, self.L)
 
         remaining_by_type: Dict[Tuple[int, str], int] = {}
-        for node in graph.functional_nodes():
+        for node in self.graph.functional_nodes():
             key = (node.partition, node.op_type)
             remaining_by_type[key] = remaining_by_type.get(key, 0) + 1
 
-        pending: Set[str] = {n.name for n in graph.nodes()
+        pending: Set[str] = {n.name for n in self.graph.nodes()
                              if not n.is_free()}
-        free_nodes: Set[str] = {n.name for n in graph.nodes()
-                                if n.is_free()}
+        waiting = {name: self._effective_preds(name) for name in pending}
+        users: Dict[str, List[str]] = {name: [] for name in pending}
+        for name, preds in waiting.items():
+            for pred in preds:
+                users[pred].append(name)
+
+        heap: List[Tuple[int, int, float, float, str]] = []
+
+        def queue(name: str, step: int, round_: int) -> None:
+            heapq.heappush(heap, (step, round_, self._deadline[name],
+                                  -self._priority[name], name))
+
+        for name, preds in waiting.items():
+            if not preds:
+                queue(name, self._candidate_step(name, schedule), 0)
 
         total_ops = len(pending)
         step = 0
@@ -183,66 +225,37 @@ class ListScheduler:
                     f"could not schedule within {self.max_steps} steps; "
                     f"{len(pending)} operations left "
                     f"(e.g. {sorted(pending)[:4]})")
-            # Repeat within the step: a chained placement can make more
-            # operations ready in the same step.
-            progress = True
-            while progress:
-                progress = False
-                ready = self._ready_ops(pending, free_nodes, schedule, step)
-                ready.sort(key=self._ready_key)
-                for name in ready:
-                    node = graph.node(name)
-                    placed = self._try_place(node, step, schedule, pool,
-                                             remaining_by_type)
-                    if placed:
-                        pending.discard(name)
-                        progress = True
+            while heap and heap[0][0] == step:
+                round_ = heap[0][1]
+                batch: List[str] = []
+                while heap and heap[0][:2] == (step, round_):
+                    batch.append(heapq.heappop(heap)[-1])
+                failed: List[str] = []
+                for name in batch:
+                    if not self._try_place(self.graph.node(name), step,
+                                           schedule, pool,
+                                           remaining_by_type):
+                        failed.append(name)
+                        continue
+                    pending.discard(name)
+                    for user in users[name]:
+                        waiting[user].discard(name)
+                        if not waiting[user]:
+                            ready = self._candidate_step(user, schedule)
+                            if ready > step:
+                                queue(user, ready, 0)
+                            else:
+                                queue(user, step, round_ + 1)
+                # A round that placed nothing ends the step.
+                retry = (step, round_ + 1) if len(failed) < len(batch) \
+                    else (step + 1, 0)
+                for name in failed:
+                    queue(name, *retry)
             self._check_recursive_deadlines(pending, schedule, step)
             step += 1
         return schedule
 
     # ------------------------------------------------------------------
-    def _ready_ops(self, pending: Set[str], free_nodes: Set[str],
-                   schedule: Schedule, step: int) -> List[str]:
-        """Pending ops whose predecessors allow a start in ``step``."""
-        period = self.timing.clock_period
-        ready: List[str] = []
-        for name in pending:
-            if self.min_steps.get(name, 0) > step:
-                continue  # postponed by caller constraint (Sec 5.3)
-            ok = True
-            for edge in self.graph.in_edges(name):
-                if edge.is_recursive():
-                    continue
-                src = edge.src
-                if src in free_nodes:
-                    if not self._free_ready(src, schedule):
-                        ok = False
-                        break
-                    continue
-                if not schedule.is_scheduled(src):
-                    ok = False
-                    break
-                if schedule.finish_ns(src) > (step + 1) * period + _EPS:
-                    ok = False
-                    break
-            if ok:
-                ready.append(name)
-        return ready
-
-    def _free_ready(self, name: str, schedule: Schedule) -> bool:
-        """Free nodes (constants, split/merge) are ready when preds are."""
-        for edge in self.graph.in_edges(name):
-            if edge.is_recursive():
-                continue
-            src_node = self.graph.node(edge.src)
-            if src_node.is_free():
-                if not self._free_ready(edge.src, schedule):
-                    return False
-            elif not schedule.is_scheduled(edge.src):
-                return False
-        return True
-
     def _data_ready_ns(self, name: str, schedule: Schedule) -> float:
         ready = 0.0
         for edge in self.graph.in_edges(name):

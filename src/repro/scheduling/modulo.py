@@ -31,16 +31,17 @@ scheduling as classic modulo scheduling at ``II = L``:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cdfg.analysis import TimingSpec, topological_order, _EPS
+from repro.cdfg.analysis import TimingSpec, topological_order
 from repro.cdfg.graph import Cdfg
 from repro.errors import SchedulingError
 from repro.modules.allocation import ResourceVector
 from repro.robustness.budget import as_token
 from repro.scheduling.base import ResourcePool, Schedule, _pipelined
 from repro.scheduling.list_scheduler import (ListScheduler,
-                                             NullIoHooks)
+                                             NullIoHooks,
+                                             critical_path_ns)
 
 
 def resource_mii(graph: Cdfg, timing: TimingSpec,
@@ -145,19 +146,6 @@ class ModuloScheduler:
             est[name] = start
         return est
 
-    def _heights(self) -> Dict[str, float]:
-        """Longest ns path to any sink — the IMS placement priority."""
-        height: Dict[str, float] = {}
-        for name in reversed(topological_order(self.graph)):
-            node = self.graph.node(name)
-            below = 0.0
-            for edge in self.graph.out_edges(name):
-                if edge.is_recursive():
-                    continue
-                below = max(below, height[edge.dst])
-            height[name] = below + self.timing.delay_ns(node)
-        return height
-
     # ------------------------------------------------------------------
     def _modulo_place(self) -> Optional[Dict[str, int]]:
         """IMS placement of the functional operations.
@@ -169,7 +157,7 @@ class ModuloScheduler:
         cannot see.
         """
         est = self._earliest_steps()
-        height = self._heights()
+        height = critical_path_ns(self.graph, self.timing)
         ops = [n for n in self.graph.functional_nodes()]
         if not ops:
             return {}

@@ -46,6 +46,9 @@ class TestReassignment:
         alloc.commit(w2, 0, schedule)
         assert alloc.final_assignment().bus_of["w2"] == 2
         assert alloc.reassignments >= 1
+        # The allocator works on its own copy: allocators built from
+        # the same initial assignment (one per attempt) never see it.
+        assert initial.bus_of["w2"] == 1
 
     def test_static_mode_postpones_instead(self):
         g, ic, initial = two_bus_setup()

@@ -173,3 +173,102 @@ class TestDesigns:
         res = min_module_counts(g, t, 2)
         s = ListScheduler(g, t, 2, res).run()
         assert s.verify(res) == []
+
+
+class TestEngineOrder:
+    """The (step, round) order of the one list-scheduling engine."""
+
+    def test_chained_release_waits_for_next_round(self):
+        # a0 -> b -> d is the critical chain, c is independent.  Round
+        # 0 of step 0 holds a0 and c, which take both adders; b, freed
+        # by a0's placement, only joins round 1 and finds no adder.
+        b = CdfgBuilder()
+        a0 = b.op("a0", "add", 1)
+        mid = b.op("b", "add", 1, inputs=[a0])
+        b.op("d", "add", 1, inputs=[mid])
+        b.op("c", "add", 1)
+        s = ListScheduler(b.build(), ar_filter_timing(), 4,
+                          {(1, "add"): 2}).run()
+        assert s.step("a0") == s.step("c") == 0
+        assert s.step("b") == 1
+
+    def test_round_failure_retries_in_same_step(self):
+        # o2 feeds a chain of two adds, so it sorts before o1; the hook
+        # takes o2 only once o1 is committed in the same step.  Round
+        # 0 places o1, so o2 is retried in round 1 of step 0.
+        class AfterO1:
+            def can_schedule(self, node, step, schedule):
+                return node.name != "o2" or (
+                    schedule.is_scheduled("o1")
+                    and schedule.step("o1") == step)
+
+            def commit(self, node, step, schedule):
+                pass
+
+        b = CdfgBuilder()
+        b.inp("o1", partition=1)
+        o2 = b.inp("o2", partition=1)
+        x = b.op("x", "add", 1, inputs=[o2])
+        b.op("y", "add", 1, inputs=[x])
+        s = ListScheduler(b.build(), ar_filter_timing(), 4,
+                          {(1, "add"): 1}, io_hooks=AfterO1()).run()
+        assert s.step("o1") == s.step("o2") == 0
+
+    def test_one_budget_tick_per_control_step(self):
+        # Extends the cap-0 exhaustion test in test_synthesize_api:
+        # ar-simple L2 starts its last op in step 7, and steps 0..7
+        # are eight ticks, so a cap of 7 runs out and 8 completes.
+        from repro import synthesize
+        from repro.designs import AR_SIMPLE_PINS, ar_simple_design
+        from repro.robustness import BudgetExhausted, SolveBudget
+
+        def run(cap):
+            return synthesize(ar_simple_design(), AR_SIMPLE_PINS,
+                              ar_filter_timing(), 2, flow="simple",
+                              budget=SolveBudget(max_sched_steps=cap))
+        with pytest.raises(BudgetExhausted) as info:
+            run(7)
+        assert info.value.phase == "list_scheduler"
+        assert info.value.iterations == 8
+        assert max(run(8).schedule.start_step.values()) == 7
+
+
+#: sha256 of the sorted ``[op, start_step, round(start_ns, 6)]`` rows
+#: of five catalog solves, recorded before the engine became one heap.
+GOLDEN_SCHEDULES = [
+    ("ar-stacked-2", {"rate": 2, "flow": "simple", "pin_scale": 1.75},
+     "d4f64eab4a63699365663f8e82f163264b48316b5b84f80328e54a633bbad730"),
+    ("ar-general", {"rate": 3, "flow": "connection-first"},
+     "db4179e645cc7491c86fb19da1919cf59e9017e47f89bed5d094944fe49e1663"),
+    ("elliptic", {"rate": 6, "flow": "connection-first"},
+     "7eb661cf37501d11c8bc1edec588d300310a390dc17db2f2dcceb345b05d2eda"),
+    ("fir", {"rate": 3, "flow": "connection-first"},
+     "9301d7f5340bcde61a2ed6f76edf2710fd2c863ccf28b4b4b70ad4d0dc8adc3d"),
+    ("dct", {"rate": 2, "flow": "simple"},
+     "07e40236f850678a4e1d904b732e1751b43f95840943e5e9a6672f725b3126fc"),
+]
+
+
+@pytest.mark.parametrize("design,params,digest", GOLDEN_SCHEDULES,
+                         ids=[g[0] for g in GOLDEN_SCHEDULES])
+def test_golden_schedule(design, params, digest):
+    import hashlib
+    import json
+
+    from repro import synthesize
+    from repro.explore.spec import SweepSpec
+    from repro.explore.worker import resolve_timing
+    from repro.service import catalog
+
+    space = catalog.design_space(design)
+    job = SweepSpec(base=params).expand(space)[0]
+    resources = (space.resources_for(job.rate)
+                 if space.resources_for is not None else None)
+    result = synthesize(job.graph, job.partitioning,
+                        resolve_timing(job.timing), job.rate,
+                        resources=resources, **job.options.to_dict())
+    s = result.schedule
+    rows = sorted([op, s.start_step[op], round(s.start_ns[op], 6)]
+                  for op in s.start_step)
+    assert hashlib.sha256(
+        json.dumps(rows).encode()).hexdigest() == digest

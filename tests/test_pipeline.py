@@ -142,14 +142,29 @@ class TestOneCheckPerSolve:
 class TestSchedulerRegistry:
 
     def test_builtins_registered(self):
-        assert {"list", "heap", "postpone", "modulo",
-                "fds"} <= set(scheduler_names())
+        names = set(scheduler_names())
+        assert {"list", "postpone", "modulo", "fds"} <= names
+        # ``heap`` survives only as a deprecated spelling of ``list``.
+        assert "heap" not in names
+        diag = Diagnostics()
+        assert resolve_scheduler("heap", diag) == "list"
+        events = [e for e in diag.events
+                  if e.event == "deprecated_alias"]
+        assert [e.detail for e in events] == [
+            {"alias": "heap", "canonical": "list"}]
 
     def test_names_filtered_by_flow(self):
-        assert scheduler_names("simple") == ["heap", "list", "modulo"]
+        assert scheduler_names("simple") == ["list", "modulo"]
         assert scheduler_names("connection-first") == [
-            "heap", "list", "modulo", "postpone"]
+            "list", "modulo", "postpone"]
         assert scheduler_names("schedule-first") == ["fds"]
+        # A point spelled ``heap`` shares the ``list`` point's cache key.
+        from repro.core.flow import SynthesisOptions
+        from repro.explore.keys import job_key
+        keys = {job_key(ar_simple_design(), AR_SIMPLE_PINS, 2,
+                        SynthesisOptions(flow="simple", scheduler=name))
+                for name in ("list", "heap")}
+        assert len(keys) == 1
 
     def test_resolve_alias_records_diagnostics(self):
         diag = Diagnostics()

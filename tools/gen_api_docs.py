@@ -53,13 +53,17 @@ registry; registered names are automatically valid
 `repro explore --schedulers` choices, explorer-axis values, and
 differential-oracle participants.  Built-ins:
 
-| name | kind | flows | description |
-|---|---|---|---|
-| `list` | iohooks | simple, connection-first | per-step priority list scheduling (Figure 3.4) |
-| `heap` | iohooks | simple, connection-first | heap-driven ready list keyed by step/deadline/criticality |
-| `postpone` | rounds | connection-first | list scheduling with iterative postponement rounds |
-| `modulo` | iohooks | simple, connection-first | IMS modulo placement at II=L, legalized by list scheduling |
-| `fds` | time | schedule-first | time-constrained force-directed scheduling (Section 5.2) |
+| name | flows | description |
+|---|---|---|
+| `list` | simple, connection-first | priority list scheduling on a (step, round) heap (Figure 3.4) |
+| `postpone` | connection-first | list scheduling with iterative postponement rounds |
+| `modulo` | simple, connection-first | IMS modulo placement at II=L, legalized by list scheduling |
+| `fds` | schedule-first | time-constrained force-directed scheduling (Section 5.2) |
+
+`list`, `postpone` and `modulo` all run the one engine,
+`repro.scheduling.ListScheduler`.  `heap` is a deprecated alias of
+`list`: it resolves with a diagnostics warning and shares `list`'s
+cache keys.
 
 Registering a third-party backend:
 
@@ -81,9 +85,10 @@ register_scheduler("mine", my_backend,
 `repro.synthesize(..., scheduler="mine")` then drives it; its results
 face the same `ResourceTable` pin accounting and the same one
 design-rule check (`result.check`, `CheckError` on a violation) as the
-built-ins.  Backends
-with `kind="time"` are called as `factory(graph, timing, rate,
-pipe_length, budget, diagnostics)` instead.
+built-ins.  The flow decides the calling convention: the simple and
+connection-first flows call every backend as above, and the
+schedule-first flow always drives the built-in `fds` entry as
+`factory(graph, timing, rate, pipe_length, budget, diagnostics)`.
 """,
 }
 
