@@ -22,7 +22,8 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator,
+                    List, Mapping, Optional, Tuple)
 
 from repro.cdfg.ops import OpKind, FREE_KINDS
 from repro.errors import CdfgError
@@ -128,8 +129,8 @@ class Cdfg:
         self._edges: List[Edge] = []
         self._succs: Dict[str, List[Edge]] = {}
         self._preds: Dict[str, List[Edge]] = {}
-        self._values_cache: Optional[Dict[str, List[Node]]] = None
-        self._recursive_cache: Optional[List[Edge]] = None
+        #: Derived data, one ``(key, value)`` per slot (see :meth:`memo`).
+        self._memo: Dict[str, Tuple[Any, Any]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -140,7 +141,7 @@ class Cdfg:
         self._nodes[node.name] = node
         self._succs[node.name] = []
         self._preds[node.name] = []
-        self._values_cache = None
+        self._invalidate()
         return node
 
     def add_edge(self, src: str, dst: str, degree: int = 0) -> Edge:
@@ -154,7 +155,7 @@ class Cdfg:
         self._edges.append(edge)
         self._succs[src].append(edge)
         self._preds[dst].append(edge)
-        self._recursive_cache = None
+        self._invalidate()
         return edge
 
     def replace_node(self, node: Node) -> None:
@@ -162,7 +163,28 @@ class Cdfg:
         if node.name not in self._nodes:
             raise CdfgError(f"cannot replace unknown node {node.name!r}")
         self._nodes[node.name] = node
-        self._values_cache = None
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop everything derived from the graph.  Every mutator (here
+        and in :mod:`repro.cdfg.transform`) calls this, so no derived
+        data outlives a change."""
+        self._memo = {}
+
+    def memo(self, slot: str, key: Any, build: Callable[[], Any]) -> Any:
+        """Derived data kept on the graph until its next mutation.
+
+        One entry per ``slot``: a call whose ``key`` equals the stored
+        one returns the stored value; any other key rebuilds it and
+        replaces the entry, so the memo stays bounded however many keys
+        are asked for.
+        """
+        hit = self._memo.get(slot)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        value = build()
+        self._memo[slot] = (key, value)
+        return value
 
     # ------------------------------------------------------------------
     # queries
@@ -209,31 +231,24 @@ class Cdfg:
         return [n for n in self._nodes.values() if n.is_io()]
 
     def recursive_edges(self) -> List[Edge]:
-        """The data-recursive subset of the edges.
-
-        Cached: the scheduler's recursion-deadline checks consult this
-        per placement attempt, and the subset is tiny next to the full
-        edge list it would otherwise rescan.  ``add_edge`` invalidates.
-        """
-        if self._recursive_cache is None:
-            self._recursive_cache = [e for e in self._edges
-                                     if e.is_recursive()]
-        return list(self._recursive_cache)
+        """The data-recursive subset of the edges (memoized)."""
+        return list(self.memo("recursive", None, lambda: [
+            e for e in self._edges if e.is_recursive()]))
 
     def values_map(self) -> Dict[str, List[Node]]:
         """Group I/O nodes by transferred value name (the sets ``W_v``).
 
-        Cached: schedulers consult this per placement attempt.  Any
-        node addition or replacement invalidates the cache (the
-        low-level transform helpers invalidate explicitly).
+        Memoized: the pin checker consults this per placement attempt.
         """
-        if self._values_cache is None:
+
+        def build() -> Dict[str, List[Node]]:
             groups: Dict[str, List[Node]] = {}
             for node in self.io_nodes():
                 groups.setdefault(node.value or node.name,
                                   []).append(node)
-            self._values_cache = groups
-        return self._values_cache
+            return groups
+
+        return self.memo("values", None, build)
 
     def partitions(self) -> List[int]:
         """Sorted list of partition indices referenced by any node."""

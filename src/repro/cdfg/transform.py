@@ -130,7 +130,7 @@ def _remove_edge(graph: Cdfg, edge) -> None:
     graph._edges.remove(edge)
     graph._succs[edge.src].remove(edge)
     graph._preds[edge.dst].remove(edge)
-    graph._values_cache = None
+    graph._invalidate()
 
 
 def _remove_node(graph: Cdfg, name: str) -> None:
@@ -146,4 +146,4 @@ def _remove_node(graph: Cdfg, name: str) -> None:
     del graph._nodes[name]
     del graph._succs[name]
     del graph._preds[name]
-    graph._values_cache = None
+    graph._invalidate()

@@ -34,6 +34,7 @@ placed (the Equations 3.12 -> 3.13 tableau update).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -53,6 +54,15 @@ from repro.robustness.budget import BudgetExhausted, as_token
 from repro.scheduling.base import Schedule
 
 
+def port_pattern(partitioning: Partitioning
+                 ) -> Tuple[Tuple[int, bool, bool], ...]:
+    """Each chip's port model, ``(index, bidirectional, split_fixed)``:
+    the part of a partitioning that shapes the pin ILP, budgets aside."""
+    return tuple((index, bool(partitioning.chip(index).bidirectional),
+                  bool(partitioning.chip(index).split_fixed))
+                 for index in partitioning.indices())
+
+
 def design_signature(graph: Cdfg, partitioning: Partitioning,
                      initiation_rate: int) -> str:
     """Structure key for the shared pin oracle.
@@ -61,18 +71,18 @@ def design_signature(graph: Cdfg, partitioning: Partitioning,
     budget values themselves: the CDFG, the initiation rate, and each
     chip's port-model pattern (bidirectional / split-fixed flags).
     Budgets live in the per-entry vector so verdicts recorded at one
-    budget can answer dominated queries at another.
+    budget can answer dominated queries at another.  Memoized on the
+    graph, so the points of a warm chain hash the graph once.
     """
-    payload = {
-        "graph": graph_to_dict(graph),
-        "rate": int(initiation_rate),
-        "chips": [[index,
-                   bool(partitioning.chip(index).bidirectional),
-                   bool(partitioning.chip(index).split_fixed)]
-                  for index in partitioning.indices()],
-    }
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+    key = (int(initiation_rate), port_pattern(partitioning))
+
+    def build() -> str:
+        payload = {"graph": graph_to_dict(graph), "rate": key[0],
+                   "chips": key[1]}
+        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+
+    return graph.memo("signature", key, build)
 
 
 def assignment_usage(graph: Cdfg, partitioning: Partitioning,
@@ -605,7 +615,13 @@ class PinAllocationChecker:
         self.store_hits = 0
         self._oracle: Dict[Tuple[Tuple[Tuple[str, int], ...], str, int],
                            bool] = {}
+        #: ``sorted(fixed.items())``, one insort per commit; its tuple
+        #: is the fingerprint in every oracle key.
+        self._sorted_fixed: List[Tuple[str, int]] = []
         self._fingerprint: Tuple[Tuple[str, int], ...] = ()
+        #: ``(fingerprint before, op, group)`` per commit, for finalize.
+        self._trail: List[Tuple[Tuple[Tuple[str, int], ...], str,
+                                int]] = []
         self._problem: Optional[PinAllocationProblem] = None
         self._solver: Optional[DualAllIntegerSolver] = None
         self._ready = False
@@ -857,8 +873,10 @@ class PinAllocationChecker:
     def commit(self, node: Node, step: int, schedule: Schedule) -> None:
         group = step % self.L
         proven = self._oracle.get((self._fingerprint, node.name, group))
+        self._trail.append((self._fingerprint, node.name, group))
         self.fixed[node.name] = group
-        self._fingerprint = tuple(sorted(self.fixed.items()))
+        bisect.insort(self._sorted_fixed, (node.name, group))
+        self._fingerprint = tuple(self._sorted_fixed)
         if self.method == "gomory" and self._degraded_method is None:
             if not self._ready and proven:
                 # The tableau was never built and the store already
@@ -907,12 +925,9 @@ class PinAllocationChecker:
                                  self.fixed)
         self._store.record((self._sig, (), INIT_NODE, INIT_GROUP),
                            self._budget_vec, True, witness=usage)
-        prefix: Dict[str, int] = {}
-        for op, group in self.fixed.items():  # insertion == commit order
-            key = (self._sig, tuple(sorted(prefix.items())), op, group)
-            self._store.record(key, self._budget_vec, True,
-                               witness=usage)
-            prefix[op] = group
+        for prefix, op, group in self._trail:
+            self._store.record((self._sig, prefix, op, group),
+                               self._budget_vec, True, witness=usage)
 
     def oracle_stats(self) -> Dict[str, int]:
         """Checker-level cache/store hit counts (for flow stats)."""

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.oracle_store import OracleStore, activate
+from repro.core.pin_allocation import port_pattern
 from repro.explore.cache import ResultCache
+from repro.explore.keys import graph_digest
 from repro.explore.pareto import (OBJECTIVES, PRUNE_OBJECTIVES,
                                   dominates, pareto_front)
 from repro.explore.spec import SweepJob
@@ -172,9 +174,13 @@ class Executor:
     def _chains(self, pending: List[SweepJob]) -> List[List[SweepJob]]:
         """Group pending jobs into warm-start chains.
 
-        Chain key = every sweep parameter except the pin-budget axes
-        (a rate or flow change alters the ILP's *structure*, so those
-        points cannot share a basis).  Within a chain, points run in
+        Chain key = the design — its graph's :func:`graph_digest`
+        (memoized on the graph: one hash per graph object, whatever the
+        rate or port model) and its chips' :func:`port_pattern`
+        (ar-general and ar-general-bidir share one graph) — plus every
+        sweep parameter except the pin-budget axes (another design,
+        rate or flow alters the ILP's *structure*, so those points
+        cannot share a basis).  Within a chain, points run in
         *descending* ``pin_scale`` order: every successor is then a
         tightening of its predecessor (component-wise smaller RHS), so
         the inherited cut set stays valid outright and warm verdicts —
@@ -184,9 +190,9 @@ class Executor:
         """
         groups: Dict[tuple, List[SweepJob]] = {}
         for job in pending:
-            key = tuple(sorted((k, repr(v))
-                               for k, v in job.params.items()
-                               if k not in NEIGHBOR_AXES))
+            key = (graph_digest(job.graph), port_pattern(job.partitioning),
+                   *sorted((k, repr(v)) for k, v in job.params.items()
+                           if k not in NEIGHBOR_AXES))
             groups.setdefault(key, []).append(job)
 
         def scale_of(job: SweepJob):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Mapping, Optional
 
+from repro.cdfg.graph import Cdfg
 from repro.core.flow import SynthesisOptions
 from repro.io_json import (canonical_dumps, graph_to_dict,
                            partitioning_to_dict)
@@ -68,6 +69,14 @@ def resources_fingerprint(resources: Optional[Mapping]) -> Optional[Dict]:
             key = f"{key[0]}:{key[1]}"
         out[str(key)] = int(count)
     return out
+
+
+def graph_digest(graph: Cdfg) -> str:
+    """sha256 hex of the graph's canonical form, memoized on the graph
+    (one slot, dropped by any mutation) so it is computed once per
+    distinct graph object."""
+    return graph.memo("digest", None, lambda: hashlib.sha256(
+        canonical_dumps(graph_to_dict(graph)).encode("utf-8")).hexdigest())
 
 
 def job_key(graph, partitioning, rate: int,

@@ -12,6 +12,10 @@ parent and appended verbatim to the on-disk result cache.
 Workers never raise: every failure mode is folded into the record's
 ``status`` (``error`` / ``budget_exhausted`` / ``invalid``) so one
 pathological point cannot take down the sweep.
+
+:func:`run_chain` runs a warm chain through the same per-point body but
+parses its graph and timing once, so later points reuse the graph and
+the compiled design and signature memoized on it (DESIGN §12, §13).
 """
 
 from __future__ import annotations
@@ -90,6 +94,13 @@ def run_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
     returned as ``record["oracle_delta"]`` for the parent to merge —
     forked pool workers mutate only their copy of the store.
     """
+    return _run_point(payload, {})
+
+
+def _run_point(payload: Mapping[str, Any],
+               parsed: Dict[str, Any]) -> Dict[str, Any]:
+    """The body of :func:`run_job` and :func:`run_chain`; ``parsed``
+    carries the last point's parsed ``(graph, timing)`` and source."""
     record: Dict[str, Any] = {
         "index": payload.get("index", -1),
         "key": payload.get("key", ""),
@@ -109,10 +120,15 @@ def run_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
             TRACER.span("job.solve", layer="worker",
                         index=record["index"]) as job_span:
         try:
-            graph = graph_from_dict(payload["design"]["graph"])
+            source = (payload["design"]["graph"],
+                      payload.get("timing", "ar"))
+            if parsed.get("source") != source:
+                parsed["inputs"] = (graph_from_dict(source[0]),
+                                    resolve_timing(source[1]))
+                parsed["source"] = source
+            graph, timing = parsed["inputs"]
             partitioning = partitioning_from_dict(
                 payload["design"]["partitioning"])
-            timing = resolve_timing(payload.get("timing", "ar"))
             options = SynthesisOptions.from_dict(payload["options"])
             resources = _resources_from_payload(payload.get("resources"))
             deadline_ms = payload.get("deadline_ms")
@@ -181,16 +197,19 @@ def run_chain(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     the whole chain to one worker, so each point inherits its
     predecessor's :class:`WarmBasis` without any serialization and the
     (inherited) oracle store stays hot.  The exported basis is threaded
-    internally and stripped from the returned records.
+    internally and stripped from the returned records.  The graph and
+    timing are parsed again only when a point's graph dict or timing
+    name differs from its predecessor's.
     """
     records: List[Dict[str, Any]] = []
     warm = None
+    parsed: Dict[str, Any] = {}
     for payload in payloads:
         job = dict(payload)
         job["export_warm"] = True
         if warm is not None and "warm_basis" not in job:
             job["warm_basis"] = warm
-        record = run_job(job)
+        record = _run_point(job, parsed)
         basis = record.pop("warm_basis", None)
         if basis is not None:
             warm = basis

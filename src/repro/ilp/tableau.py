@@ -27,6 +27,13 @@ replace row dicts copy-on-write and log the displaced dict references,
 so rolling back costs O(touched rows) pointer restores instead of the
 O(rows x cols) full-tableau copies the old ``snapshot()/restore()``
 protocol paid on *every* feasibility probe.
+
+Journaling is *first-touch*: a row (with its rhs, denominator and
+basic column), or the cost row, is logged only on its first change
+since the latest live mark; undo pops in reverse, so that entry alone
+restores the marked state.  Each live mark keeps the rows it logged,
+so nested marks restore exactly, and the journal stays bounded by the
+tableau size per live mark however long a re-optimisation runs.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ from repro.perf import PERF
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: Key of the cost row in a mark's set of journaled rows.
+_COST = -1
 
 #: When True, every Tableau mirrors its operations onto a
 #: :class:`repro.ilp.dense_tableau.DenseTableau` shadow and compares the
@@ -80,7 +90,8 @@ class Tableau:
     """
 
     __slots__ = ("_nums", "_rhs_num", "_dens", "_cost_nums", "_cost_rhs",
-                 "_cost_den", "basis", "_n_cols", "_journal", "_shadow")
+                 "_cost_den", "basis", "_n_cols", "_journal", "_marks",
+                 "_shadow")
 
     def __init__(self, rows: Optional[List[List[Fraction]]] = None,
                  cost: Optional[List[Fraction]] = None,
@@ -111,6 +122,9 @@ class Tableau:
         self.basis = list(basis)
         self._n_cols = n_cols
         self._journal: Optional[list] = None
+        #: Live marks, oldest first: (journal position, rows journaled
+        #: since then).  The first is the implicit mark at position 0.
+        self._marks: List[Tuple[int, set]] = []
         self._shadow = None
         self._init_shadow()
 
@@ -145,6 +159,7 @@ class Tableau:
         tab.basis = list(basis)
         tab._n_cols = n_cols
         tab._journal = None
+        tab._marks = []
         tab._shadow = None
         tab._init_shadow()
         return tab
@@ -225,7 +240,9 @@ class Tableau:
         tab._cost_den = self._cost_den
         tab.basis = list(self.basis)
         tab._n_cols = self._n_cols
-        tab._journal = [] if self._journal is not None else None
+        tab._journal, tab._marks = None, []
+        if self._journal is not None:
+            tab.enable_undo()
         tab._shadow = None
         tab._init_shadow()
         return tab
@@ -234,17 +251,33 @@ class Tableau:
     def enable_undo(self) -> None:
         if self._journal is None:
             self._journal = []
+            self._marks = [(0, set())]
 
     def mark(self) -> int:
         """Checkpoint for :meth:`undo_to` (enables the journal)."""
-        if self._journal is None:
-            self._journal = []
-        return len(self._journal)
+        self.enable_undo()
+        position = len(self._journal)
+        if self._marks[-1][0] != position:
+            self._marks.append((position, set()))
+        return position
 
     def journal_clear(self) -> None:
         """Forget all checkpoints (after a committed state change)."""
         if self._journal is not None:
             self._journal.clear()
+            self._marks = [(0, set())]
+
+    def _touch(self, i: int) -> None:
+        """Journal row ``i`` (``_COST``: the cost row) on its first
+        change since the latest mark."""
+        touched = self._marks[-1][1]
+        if i not in touched:
+            touched.add(i)
+            self._journal.append(
+                ("cost", self._cost_nums, self._cost_rhs, self._cost_den)
+                if i == _COST else ("row", i, self._nums[i],
+                                    self._rhs_num[i], self._dens[i],
+                                    self.basis[i]))
 
     def undo_to(self, mark: int) -> None:
         """Roll back to a :meth:`mark` in O(entries touched since)."""
@@ -257,21 +290,9 @@ class Tableau:
             entry = journal.pop()
             tag = entry[0]
             if tag == "row":
-                _, i, row_nums, row_rhs, row_den = entry
-                nums[i] = row_nums
-                rhs[i] = row_rhs
-                dens[i] = row_den
-            elif tag == "rhsnum":
-                rhs[entry[1]] = entry[2]
-            elif tag == "basis":
-                self.basis[entry[1]] = entry[2]
+                _, i, nums[i], rhs[i], dens[i], self.basis[i] = entry
             elif tag == "cost":
-                _, cost_nums, cost_rhs, cost_den = entry
-                self._cost_nums = cost_nums
-                self._cost_rhs = cost_rhs
-                self._cost_den = cost_den
-            elif tag == "costrhs":
-                self._cost_rhs = entry[1]
+                _, self._cost_nums, self._cost_rhs, self._cost_den = entry
             elif tag == "addrow":
                 nums.pop()
                 rhs.pop()
@@ -282,6 +303,16 @@ class Tableau:
                 self._cost_nums.pop(self._n_cols, None)
             else:  # pragma: no cover - defensive
                 raise IlpError(f"unknown journal tag {tag!r}")
+        # Marks above the target are gone; the target's set must name
+        # exactly the rows its surviving entries restore.
+        marks = self._marks
+        while marks[-1][0] > mark:
+            marks.pop()
+        position, touched = marks[-1]
+        touched.clear()
+        touched.update(entry[1] if entry[0] == "row" else _COST
+                       for entry in journal[position:]
+                       if entry[0] in ("row", "cost"))
         if self._shadow is not None:
             self._rebuild_shadow()
 
@@ -316,16 +347,14 @@ class Tableau:
             new_rhs = self._cost_rhs * scale
             new_cost[col] = num * (lcm // den)
             if self._journal is not None:
-                self._journal.append(("cost", self._cost_nums,
-                                      self._cost_rhs, self._cost_den))
+                self._touch(_COST)
             self._cost_nums, self._cost_rhs, self._cost_den = \
                 new_cost, new_rhs, lcm
         else:
             new_cost = dict(self._cost_nums)
             new_cost[col] = num
             if self._journal is not None:
-                self._journal.append(("cost", self._cost_nums,
-                                      self._cost_rhs, self._cost_den))
+                self._touch(_COST)
             self._cost_nums = new_cost
 
     def add_row(self, coeffs: Dict[int, int], rhs: int,
@@ -351,8 +380,7 @@ class Tableau:
                         den: int = 1) -> None:
         """Install a new cost row (integer-scaled sparse)."""
         if self._journal is not None:
-            self._journal.append(("cost", self._cost_nums,
-                                  self._cost_rhs, self._cost_den))
+            self._touch(_COST)
         self._cost_nums = {j: c for j, c in cost.items() if c}
         self._cost_rhs = rhs
         self._cost_den = den
@@ -364,20 +392,21 @@ class Tableau:
     def pivot(self, row: int, col: int) -> None:
         """Pivot so column ``col`` becomes basic in ``row``.
 
-        Copy-on-write: every touched row gets a fresh dict and the
-        displaced dict goes to the journal, so rollback is a pointer
-        restore.  All-integer pivots (``den == 1``, pivot value ``±1``)
-        never leave the integer fast path.
+        Copy-on-write: every touched row gets a fresh dict, and a row's
+        first displaced dict since the latest mark goes to the journal,
+        so rollback is a pointer restore.  All-integer pivots (``den ==
+        1``, pivot value ``±1``) never leave the integer fast path.
         """
         PERF.inc("tableau.pivots")
         nums, rhs, dens = self._nums, self._rhs_num, self._dens
         journal = self._journal
+        touched = self._marks[-1][1] if journal is not None else None
         prow = nums[row]
         p_num = prow.get(col, 0)
         if p_num == 0:
             raise IlpError("pivot on zero element")
-        if journal is not None:
-            journal.append(("row", row, prow, rhs[row], dens[row]))
+        if touched is not None and row not in touched:
+            self._touch(row)
         # Normalize the pivot row: new value_j = old_j / pivot, i.e.
         # numerators stay put and the denominator becomes |p_num|.
         if p_num < 0:
@@ -412,8 +441,8 @@ class Tableau:
             f = orow.get(col, 0)
             if f == 0:
                 continue
-            if journal is not None:
-                journal.append(("row", i, orow, rhs[i], dens[i]))
+            if touched is not None and i not in touched:
+                self._touch(i)
             if p_den == 1:
                 # value_j = (o_j - f * p_j) / dens[i]: pure-integer path.
                 d = dict(orow)
@@ -455,8 +484,7 @@ class Tableau:
         cf = self._cost_nums.get(col, 0)
         if cf:
             if journal is not None:
-                journal.append(("cost", self._cost_nums, self._cost_rhs,
-                                self._cost_den))
+                self._touch(_COST)
             if p_den == 1:
                 d = dict(self._cost_nums)
                 for j, v in p_items:
@@ -491,8 +519,6 @@ class Tableau:
                 self._cost_rhs = new_rhs
                 self._cost_den = new_den
 
-        if journal is not None:
-            journal.append(("basis", row, self.basis[row]))
         self.basis[row] = col
         if self._shadow is not None:
             self._shadow.pivot(row, col)
@@ -508,12 +534,12 @@ class Tableau:
             v = nums[i].get(col, 0)
             if v:
                 if journal is not None:
-                    journal.append(("rhsnum", i, rhs[i]))
+                    self._touch(i)
                 rhs[i] = rhs[i] - v * amount
         cv = self._cost_nums.get(col, 0)
         if cv:
             if journal is not None:
-                journal.append(("costrhs", self._cost_rhs))
+                self._touch(_COST)
             self._cost_rhs -= cv * amount
         if self._shadow is not None:
             self._shadow.apply_column_shift(col, amount)
@@ -533,8 +559,7 @@ class Tableau:
         """cost -= (c_num / cost_den) * row_i, exactly."""
         den_i = self._dens[i]
         if self._journal is not None:
-            self._journal.append(("cost", self._cost_nums, self._cost_rhs,
-                                  self._cost_den))
+            self._touch(_COST)
         if den_i == 1:
             d = dict(self._cost_nums)
             for j, v in self._nums[i].items():

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.analysis import TimingSpec
@@ -98,24 +98,3 @@ def recursive_edge_bounds(graph: Cdfg, timing: TimingSpec,
         slack = edge.degree * initiation_rate - c_src
         bounds.append((edge.src, edge.dst, slack))
     return bounds
-
-
-def recursive_deadline(graph: Cdfg, timing: TimingSpec,
-                       initiation_rate: int, name: str,
-                       consumer_steps: Dict[str, int]) -> Optional[int]:
-    """Latest start step of ``name`` imposed by scheduled consumers.
-
-    ``None`` when no scheduled consumer constrains it yet.
-    """
-    deadline: Optional[int] = None
-    for edge in graph.recursive_edges():
-        if edge.src != name:
-            continue
-        consumer = edge.dst
-        if consumer not in consumer_steps:
-            continue
-        c_src = max(1, timing.cycles(graph.node(name)))
-        limit = consumer_steps[consumer] + edge.degree * initiation_rate \
-            - c_src
-        deadline = limit if deadline is None else min(deadline, limit)
-    return deadline

@@ -26,22 +26,28 @@ Multi-cycle operations pass the allocation-wheel *safety check* of
 Section 7.4: a tentative placement is undone (postponed) if the
 fragmentation it causes leaves too little wheel capacity for the
 remaining operations of that type.
+
+The engine reads the design's budget-independent facts from a
+:class:`CompiledDesign`, memoized on the graph, so a pin-budget sweep
+and the retries of ``postpone`` and ``modulo`` compile it once.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 
-from repro.cdfg.analysis import TimingSpec, topological_order, _EPS
+from repro.cdfg.analysis import (TimingSpec, asap_schedule,
+                                 topological_order, _EPS)
 from repro.cdfg.graph import Cdfg, Node
 from repro.cdfg.ops import IO_KINDS
 from repro.errors import SchedulingError
 from repro.modules.allocation import ResourceVector
 from repro.robustness.budget import as_token
 from repro.scheduling.base import ResourcePool, Schedule
-from repro.scheduling.constraints import recursive_deadline
+from repro.scheduling.constraints import recursive_edge_bounds
 
 
 class IoHooks(Protocol):
@@ -90,6 +96,117 @@ def critical_path_ns(graph: Cdfg, timing: TimingSpec) -> Dict[str, float]:
     return height
 
 
+class CompiledDesign:
+    """The budget-independent scheduling facts of one (graph, timing,
+    rate), read by every :class:`ListScheduler` on it (DESIGN §13):
+    per-op delay, steps and chaining/I-O flags, effective predecessors
+    (through free nodes) and users, recursive edges as ``(other end,
+    slack)`` per consumer and producer, type counts, recursion
+    deadlines, priorities and the default step cap."""
+
+    def __init__(self, graph: Cdfg, timing: TimingSpec,
+                 initiation_rate: int) -> None:
+        chain = timing.chaining_allowed()
+        nodes = list(graph.nodes())
+        self.ops: Tuple[str, ...] = tuple(n.name for n in nodes
+                                          if not n.is_free())
+        self.cycles: Dict[str, int] = {n.name: max(1, timing.cycles(n))
+                                       for n in nodes}
+        self.delay: Dict[str, float] = {
+            name: timing.delay_ns(graph.node(name)) for name in self.ops}
+        self.at_boundary: Dict[str, bool] = {
+            name: (timing.must_start_at_boundary(graph.node(name))
+                   or not chain or self.cycles[name] > 1)
+            for name in self.ops}
+        self.io = frozenset(n.name for n in nodes if n.kind in IO_KINDS)
+
+        def effective(name: str) -> Set[str]:
+            out: Set[str] = set()
+            for edge in graph.in_edges(name):
+                if edge.is_recursive():
+                    continue
+                if graph.node(edge.src).is_free():
+                    out |= effective(edge.src)
+                else:
+                    out.add(edge.src)
+            return out
+
+        self.preds: Dict[str, Tuple[str, ...]] = {
+            name: tuple(sorted(effective(name))) for name in self.ops}
+        self.users: Dict[str, List[str]] = {name: [] for name in self.ops}
+        for user in self.ops:
+            for pred in self.preds[user]:
+                self.users[pred].append(user)
+
+        self.rec_in: Dict[str, List[Tuple[str, int]]] = {}
+        self.rec_out: Dict[str, List[Tuple[str, int]]] = {}
+        for producer, consumer, slack in recursive_edge_bounds(
+                graph, timing, initiation_rate):
+            self.rec_in.setdefault(consumer, []).append((producer, slack))
+            self.rec_out.setdefault(producer, []).append((consumer, slack))
+
+        self.type_counts = Counter((node.partition, node.op_type)
+                                   for node in graph.functional_nodes())
+
+        self.priority = critical_path_ns(graph, timing)
+        self.deadline = self._deadlines(graph, timing, initiation_rate)
+        self.max_steps = (sum(self.cycles.values())
+                          + 8 * initiation_rate + 8)
+
+    def recursive_deadline(self, name: str,
+                           steps: Dict[str, int]) -> Optional[int]:
+        """Latest start step of producer ``name`` imposed by its
+        recursive consumers placed in ``steps``, or None."""
+        limits = [steps[consumer] + slack
+                  for consumer, slack in self.rec_out.get(name, ())
+                  if consumer in steps]
+        return min(limits) if limits else None
+
+    def _deadlines(self, graph: Cdfg, timing: TimingSpec,
+                   initiation_rate: int) -> Dict[str, float]:
+        """Static deadlines from recursive max-time constraints.
+
+        The loop-entry transfer of a recursive value has no forward
+        predecessors and is scheduled near step 0, so anchoring it at
+        its ASAP step gives the producer a deadline of
+        ``asap(io) + d*L - c`` (Section 7.1); propagating deadlines
+        backwards through the DAG makes the whole loop chain urgent.
+        This is a *priority* heuristic — the hard checks stay in
+        :meth:`ListScheduler._recursion_allows`.
+        """
+        deadline: Dict[str, float] = {name: float("inf")
+                                      for name in graph.node_names()}
+        asap = asap_schedule(graph, timing)
+        for producer, outs in self.rec_out.items():
+            for consumer_io, slack in outs:
+                deadline[producer] = min(deadline[producer],
+                                         float(asap[consumer_io] + slack))
+        chain = timing.chaining_allowed()
+        for name in reversed(topological_order(graph)):
+            node = graph.node(name)
+            for edge in graph.out_edges(name):
+                if edge.is_recursive():
+                    continue
+                succ = graph.node(edge.dst)
+                gap = 0 if (chain and timing.cycles(node) <= 1
+                            and not timing.must_start_at_boundary(succ)) \
+                    else self.cycles[name] if not node.is_free() else 0
+                candidate = deadline[edge.dst] - gap
+                if candidate < deadline[name]:
+                    deadline[name] = candidate
+        return deadline
+
+
+def compile_design(graph: Cdfg, timing: TimingSpec,
+                   initiation_rate: int) -> CompiledDesign:
+    """The graph's :class:`CompiledDesign`, memoized in one slot: a hit
+    needs the same rate and an equal timing (identity for timings
+    without value equality); any graph mutation drops it."""
+    return graph.memo("compiled", (initiation_rate, timing),
+                      lambda: CompiledDesign(graph, timing,
+                                             initiation_rate))
+
+
 class ListScheduler:
     """One-shot scheduler; construct, then call :meth:`run`."""
 
@@ -108,74 +225,12 @@ class ListScheduler:
         self.resources = dict(resources)
         self.min_steps = dict(min_steps or {})
         self.hooks: IoHooks = io_hooks or NullIoHooks()
-        self.max_steps = max_steps or self._default_max_steps()
+        self.design = compile_design(graph, timing, initiation_rate)
+        self.max_steps = max_steps or self.design.max_steps
         #: Cooperative cancellation token, ticked once per control step.
         self.budget = as_token(budget)
-        self._priority = critical_path_ns(graph, timing)
-        self._deadline = self._compute_deadlines()
 
     # ------------------------------------------------------------------
-    def _default_max_steps(self) -> int:
-        worst = 0
-        for node in self.graph.nodes():
-            worst += max(1, self.timing.cycles(node))
-        return worst + 8 * self.L + 8
-
-    def _compute_deadlines(self) -> Dict[str, float]:
-        """Static deadlines from recursive max-time constraints.
-
-        The loop-entry transfer of a recursive value has no forward
-        predecessors and is scheduled near step 0, so anchoring it at
-        its ASAP step gives the producer a deadline of
-        ``asap(io) + d*L - c`` (Section 7.1); propagating deadlines
-        backwards through the DAG makes the whole loop chain urgent.
-        This is a *priority* heuristic — the hard checks stay in
-        :meth:`_recursion_allows`.
-        """
-        from repro.cdfg.analysis import asap_schedule
-
-        deadline: Dict[str, float] = {name: float("inf")
-                                      for name in self.graph.node_names()}
-        asap = asap_schedule(self.graph, self.timing)
-        for edge in self.graph.recursive_edges():
-            producer = edge.src
-            consumer_io = edge.dst
-            c_src = max(1, self.timing.cycles(self.graph.node(producer)))
-            limit = asap[consumer_io] + edge.degree * self.L - c_src
-            deadline[producer] = min(deadline[producer], float(limit))
-        chain = self.timing.chaining_allowed()
-        for name in reversed(topological_order(self.graph)):
-            node = self.graph.node(name)
-            for edge in self.graph.out_edges(name):
-                if edge.is_recursive():
-                    continue
-                succ = self.graph.node(edge.dst)
-                gap = 0 if (chain and self.timing.cycles(node) <= 1
-                            and not self.timing.must_start_at_boundary(
-                                succ)) \
-                    else max(1, self.timing.cycles(node)) \
-                    if not node.is_free() else 0
-                candidate = deadline[edge.dst] - gap
-                if candidate < deadline[name]:
-                    deadline[name] = candidate
-        return deadline
-
-    def _effective_preds(self, name: str) -> Set[str]:
-        """Non-free predecessors, reached through any free nodes.
-
-        Free nodes (constants, split/merge) are never scheduled; an
-        operation is released once all of these are placed.
-        """
-        out: Set[str] = set()
-        for edge in self.graph.in_edges(name):
-            if edge.is_recursive():
-                continue
-            if self.graph.node(edge.src).is_free():
-                out |= self._effective_preds(edge.src)
-            else:
-                out.add(edge.src)
-        return out
-
     def _candidate_step(self, name: str, schedule: Schedule) -> int:
         """First step worth trying: the data-ready step, raised to any
         caller-imposed ``min_steps`` (Sec 5.3)."""
@@ -185,30 +240,22 @@ class ListScheduler:
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
+        design = self.design
         schedule = Schedule(self.graph, self.timing, self.L)
         pool = ResourcePool(self.resources, self.timing, self.L)
-
-        remaining_by_type: Dict[Tuple[int, str], int] = {}
-        for node in self.graph.functional_nodes():
-            key = (node.partition, node.op_type)
-            remaining_by_type[key] = remaining_by_type.get(key, 0) + 1
-
-        pending: Set[str] = {n.name for n in self.graph.nodes()
-                             if not n.is_free()}
-        waiting = {name: self._effective_preds(name) for name in pending}
-        users: Dict[str, List[str]] = {name: [] for name in pending}
-        for name, preds in waiting.items():
-            for pred in preds:
-                users[pred].append(name)
+        remaining_by_type = dict(design.type_counts)
+        pending: Set[str] = set(design.ops)
+        waiting = {name: len(preds) for name, preds in design.preds.items()}
+        deadline, priority = design.deadline, design.priority
 
         heap: List[Tuple[int, int, float, float, str]] = []
 
         def queue(name: str, step: int, round_: int) -> None:
-            heapq.heappush(heap, (step, round_, self._deadline[name],
-                                  -self._priority[name], name))
+            heapq.heappush(heap, (step, round_, deadline[name],
+                                  -priority[name], name))
 
-        for name, preds in waiting.items():
-            if not preds:
+        for name in design.ops:
+            if not waiting[name]:
                 queue(name, self._candidate_step(name, schedule), 0)
 
         total_ops = len(pending)
@@ -232,14 +279,13 @@ class ListScheduler:
                     batch.append(heapq.heappop(heap)[-1])
                 failed: List[str] = []
                 for name in batch:
-                    if not self._try_place(self.graph.node(name), step,
-                                           schedule, pool,
+                    if not self._try_place(name, step, schedule, pool,
                                            remaining_by_type):
                         failed.append(name)
                         continue
                     pending.discard(name)
-                    for user in users[name]:
-                        waiting[user].discard(name)
+                    for user in design.users[name]:
+                        waiting[user] -= 1
                         if not waiting[user]:
                             ready = self._candidate_step(user, schedule)
                             if ready > step:
@@ -257,51 +303,48 @@ class ListScheduler:
 
     # ------------------------------------------------------------------
     def _data_ready_ns(self, name: str, schedule: Schedule) -> float:
+        """When the last effective predecessor's result is available."""
+        start, delay = schedule.start_ns, self.design.delay
         ready = 0.0
-        for edge in self.graph.in_edges(name):
-            if edge.is_recursive():
-                continue
-            src_node = self.graph.node(edge.src)
-            if src_node.is_free():
-                ready = max(ready, self._data_ready_ns(edge.src, schedule))
-            else:
-                ready = max(ready, schedule.finish_ns(edge.src))
+        for pred in self.design.preds[name]:
+            finish = start[pred] + delay[pred]
+            if finish > ready:
+                ready = finish
         return ready
 
     # ------------------------------------------------------------------
-    def _try_place(self, node: Node, step: int, schedule: Schedule,
+    def _try_place(self, name: str, step: int, schedule: Schedule,
                    pool: ResourcePool,
                    remaining_by_type: Dict[Tuple[int, str], int]) -> bool:
-        period = self.timing.clock_period
-        ready_ns = self._data_ready_ns(node.name, schedule)
-        start_ns = self._start_in_step(node, step, ready_ns)
+        ready_ns = self._data_ready_ns(name, schedule)
+        start_ns = self._start_in_step(name, step, ready_ns)
         if start_ns is None:
             return False
 
         # Recursive-edge checks (Section 7.1).
-        if not self._recursion_allows(node, step, schedule):
+        if not self._recursion_allows(name, step, schedule):
             return False
 
-        if node.kind in IO_KINDS:
+        node = self.graph.node(name)
+        if name in self.design.io:
             if not self._io_step_allowed(step):
                 return False
             if not self.hooks.can_schedule(node, step, schedule):
                 return False
             self.hooks.commit(node, step, schedule)
-            schedule.place(node.name, step, start_ns)
+            schedule.place(name, step, start_ns)
             return True
 
         # Functional operation: units + allocation-wheel safety.
-        cycles = max(1, self.timing.cycles(node))
         if not pool.can_place(node, step):
             return False
         key = (node.partition, node.op_type)
-        if cycles > 1:
+        if self.design.cycles[name] > 1:
             if not self._wheel_safe(node, step, pool, remaining_by_type):
                 return False
         pool.try_place(node, step)
         remaining_by_type[key] -= 1
-        schedule.place(node.name, step, start_ns)
+        schedule.place(name, step, start_ns)
         return True
 
     def _io_step_allowed(self, step: int) -> bool:
@@ -310,49 +353,38 @@ class ListScheduler:
         probe = getattr(self.timing, "io_step_allowed", None)
         return True if probe is None else probe(step)
 
-    def _start_in_step(self, node: Node, step: int,
+    def _start_in_step(self, name: str, step: int,
                        ready_ns: float) -> Optional[float]:
-        """ns start placing ``node`` in ``step``, or None if impossible."""
+        """ns start placing ``name`` in ``step``, or None if impossible."""
         period = self.timing.clock_period
         boundary = step * period
-        delay = self.timing.delay_ns(node)
-        if self.timing.must_start_at_boundary(node) \
-                or not self.timing.chaining_allowed():
+        if self.design.at_boundary[name]:
+            # Multi-cycle ops are not chained either (Section 7.4).
             if ready_ns > boundary + _EPS:
                 return None
             return boundary
         start = max(ready_ns, boundary)
         if start >= (step + 1) * period - _EPS:
             return None
-        cycles = max(1, self.timing.cycles(node))
-        if cycles > 1:
-            # Multi-cycle ops are not chained (Section 7.4).
-            if ready_ns > boundary + _EPS:
-                return None
-            return boundary
-        if start + delay > (step + 1) * period + _EPS:
+        if start + self.design.delay[name] > (step + 1) * period + _EPS:
             return None  # would cross the latch boundary; wait a step
         return start
 
-    def _recursion_allows(self, node: Node, step: int,
+    def _recursion_allows(self, name: str, step: int,
                           schedule: Schedule) -> bool:
         """Max-time constraints on producers/consumers of recursive edges."""
         # As a producer: must respect deadlines from scheduled consumers.
-        deadline = recursive_deadline(self.graph, self.timing, self.L,
-                                      node.name, schedule.start_step)
+        steps = schedule.start_step
+        deadline = self.design.recursive_deadline(name, steps)
         if deadline is not None and step > deadline:
             return False
         # As a consumer: placing it at `step` gives every unscheduled
         # producer a deadline; refuse if a producer clearly cannot make
         # it (its data-ready step is already past the deadline).
-        for edge in self.graph.recursive_edges():
-            if edge.dst != node.name:
-                continue
-            producer = edge.src
-            c_src = max(1, self.timing.cycles(self.graph.node(producer)))
-            limit = step + edge.degree * self.L - c_src
-            if schedule.is_scheduled(producer):
-                if schedule.step(producer) > limit:
+        for producer, slack in self.design.rec_in.get(name, ()):
+            limit = step + slack
+            if producer in steps:
+                if steps[producer] > limit:
                     return False
             else:
                 earliest = self._earliest_step(producer, schedule)
@@ -384,15 +416,26 @@ class ListScheduler:
 
     def _check_recursive_deadlines(self, pending: Set[str],
                                    schedule: Schedule, step: int) -> None:
-        """Fail fast when a pending producer already missed a deadline."""
-        for name in pending:
-            deadline = recursive_deadline(self.graph, self.timing, self.L,
-                                          name, schedule.start_step)
-            if deadline is not None and step >= deadline:
-                # It had to be placed by `deadline`; the greedy choice
-                # earlier made the schedule infeasible (Section 4.4.2
-                # observes exactly this failure mode at tight rates).
-                raise DeadlineMissed(
-                    f"recursive max-time deadline missed for {name!r} "
-                    f"(deadline step {deadline}, now past step {step})",
-                    failed_op=name, deadline=deadline, partial=schedule)
+        """Fail fast when a pending producer already missed a deadline.
+
+        Of several missed producers the one with the smallest
+        ``(deadline, name)`` is named, so the error (and the culprits
+        :mod:`repro.scheduling.postpone` blames for it) does not depend
+        on set iteration order.
+        """
+        design, missed = self.design, []
+        for name in design.rec_out:
+            if name in pending:
+                deadline = design.recursive_deadline(name,
+                                                     schedule.start_step)
+                if deadline is not None and step >= deadline:
+                    missed.append((deadline, name))
+        if missed:
+            # It had to be placed by `deadline`; the greedy choice
+            # earlier made the schedule infeasible (Section 4.4.2
+            # observes exactly this failure mode at tight rates).
+            deadline, name = min(missed)
+            raise DeadlineMissed(
+                f"recursive max-time deadline missed for {name!r} "
+                f"(deadline step {deadline}, now past step {step})",
+                failed_op=name, deadline=deadline, partial=schedule)

@@ -44,7 +44,7 @@ def _competitors(graph: Cdfg, scheduler: ListScheduler,
     for name, step in partial.start_step.items():
         if step > deadline:
             continue
-        if scheduler._deadline.get(name, float("inf")) != float("inf"):
+        if scheduler.design.deadline[name] != float("inf"):
             continue  # loop members are victims, not culprits
         node = graph.node(name)
         same_unit = (node.is_functional() and failed.is_functional()

@@ -5,6 +5,7 @@ import pytest
 from repro.cdfg import Cdfg, CdfgBuilder, OpKind
 from repro.cdfg.graph import (Node, guards_mutually_exclusive,
                               make_functional_node, make_io_node)
+from repro.cdfg.transform import _remove_edge, _remove_node
 from repro.errors import CdfgError
 
 
@@ -145,3 +146,63 @@ class TestBuilder:
         c1 = b.const()
         c2 = b.const()
         assert c1 != c2
+
+
+class TestDerivedDataInvalidation:
+    """Every mutator drops everything derived from the graph."""
+
+    @staticmethod
+    def _loop():
+        g = Cdfg()
+        g.add_node(make_functional_node("a", "add", 1))
+        g.add_node(make_functional_node("b", "add", 1))
+        g.add_edge("a", "b")
+        g.add_edge("b", "a", degree=1)
+        return g
+
+    def test_removed_edge_leaves_recursive_edges(self):
+        g = self._loop()
+        (edge,) = g.recursive_edges()
+        _remove_edge(g, edge)
+        assert g.recursive_edges() == []
+
+    def test_removed_node_leaves_values_map(self):
+        g = self._loop()
+        g.add_node(make_io_node("w", "v", 1, 2))
+        assert list(g.values_map()) == ["v"]
+        _remove_node(g, "w")
+        assert g.values_map() == {}
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_node(make_functional_node("c", "add", 1)),
+        lambda g: g.add_edge("a", "b", degree=2),
+        lambda g: g.replace_node(make_functional_node("a", "mul", 1)),
+        lambda g: _remove_edge(g, g.recursive_edges()[0]),
+        lambda g: _remove_node(g, "b"),
+    ], ids=["add_node", "add_edge", "replace_node", "_remove_edge",
+            "_remove_node"])
+    def test_every_mutator_drops_the_compiled_design(self, mutate):
+        from repro.cdfg.analysis import UnitTiming
+        from repro.scheduling.list_scheduler import compile_design
+
+        g = self._loop()
+        timing = UnitTiming()
+        compiled = compile_design(g, timing, 2)
+        assert compile_design(g, timing, 2) is compiled
+        mutate(g)
+        assert compile_design(g, timing, 2) is not compiled
+
+    def test_compiled_design_memo_key(self):
+        """One slot: a hit needs the same rate and an equal timing."""
+        from repro.cdfg.analysis import UnitTiming
+        from repro.modules.library import ar_filter_timing
+        from repro.scheduling.list_scheduler import compile_design
+
+        g = self._loop()
+        timing = ar_filter_timing()
+        compiled = compile_design(g, timing, 2)
+        # DesignTiming has no value equality: another instance misses.
+        assert compile_design(g, ar_filter_timing(), 2) is not compiled
+        unit = compile_design(g, UnitTiming(), 2)
+        assert compile_design(g, UnitTiming(), 2) is unit
+        assert compile_design(g, UnitTiming(), 3) is not unit

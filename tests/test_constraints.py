@@ -6,8 +6,8 @@ from repro.cdfg import CdfgBuilder
 from repro.cdfg.analysis import UnitTiming
 from repro.errors import SchedulingError
 from repro.scheduling.constraints import (AllocationWheel,
-                                          recursive_deadline,
                                           recursive_edge_bounds)
+from repro.scheduling.list_scheduler import compile_design
 
 
 class TestAllocationWheel:
@@ -88,15 +88,18 @@ class TestRecursiveBounds:
     def test_deadline_from_scheduled_consumer(self):
         g = self.graph()
         timing = UnitTiming(cycles_by_op_type={"mul": 3})
-        deadline = recursive_deadline(g, timing, 4, "y", {"x": 2})
+        deadline = compile_design(g, timing, 4).recursive_deadline(
+            "y", {"x": 2})
         assert deadline == 2 + 2 * 4 - 3
 
     def test_no_deadline_when_consumer_unscheduled(self):
         g = self.graph()
         timing = UnitTiming()
-        assert recursive_deadline(g, timing, 4, "y", {}) is None
+        assert compile_design(g, timing, 4).recursive_deadline(
+            "y", {}) is None
 
     def test_non_producer_has_no_deadline(self):
         g = self.graph()
         timing = UnitTiming()
-        assert recursive_deadline(g, timing, 4, "x", {"x": 0}) is None
+        assert compile_design(g, timing, 4).recursive_deadline(
+            "x", {"x": 0}) is None

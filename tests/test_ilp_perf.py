@@ -134,6 +134,79 @@ class TestUndoLog:
         assert not solver.tableau._journal, \
             "journal should be empty right after a commit"
 
+    def test_journal_logs_each_row_once_per_mark(self):
+        """First-touch journaling: within one mark a row, or the cost
+        row, is logged once however many pivots change it."""
+        m, xs = _packing_model(6, [2, 2, 2])
+        solver = DualAllIntegerSolver(m)
+        assert solver.reoptimize()
+        tab = solver.tableau
+        token = solver._mark()
+        solver.add_lower_bound(xs[0, 2])
+        assert solver.reoptimize()
+        entries = tab._journal[token[0]:]
+        rows = [entry[1] for entry in entries if entry[0] == "row"]
+        assert rows and len(rows) == len(set(rows))
+        assert sum(entry[0] == "cost" for entry in entries) <= 1
+        assert {entry[0] for entry in entries} <= {"row", "cost",
+                                                   "addrow", "addcol"}
+
+    def test_nested_marks_restore_exactly(self):
+        m, xs = _packing_model(6, [2, 2, 2])
+        solver = DualAllIntegerSolver(m)
+        assert solver.reoptimize()
+        tab = solver.tableau
+        outer_state = _sparse_state(tab)
+        outer = solver._mark()
+        solver.add_lower_bound(xs[0, 2])
+        assert solver.reoptimize()
+        inner_state = _sparse_state(tab)
+        inner = solver._mark()
+        # Rows first logged under the outer mark change again here and
+        # must be logged again, or the inner rollback could not undo it.
+        for w in (1, 2):
+            solver.add_lower_bound(xs[w, 2])
+            solver.reoptimize()
+            solver._undo(inner)
+            assert _sparse_state(tab) == inner_state
+        solver._undo(outer)
+        assert _sparse_state(tab) == outer_state
+
+
+# ---------------------------------------------------------------------
+class TestJournalBound:
+    def test_tight_cold_solve_keeps_journal_bounded(self):
+        """The cold simple-flow ar-stacked-4 L2 solve at pin scale 1.75
+        runs one long cutting-plane probe; logging every pivot's rows
+        grew the journal to about 148k entries under this iteration
+        cap (and hundreds of MiB under longer deadlines)."""
+        from repro import synthesize
+        from repro.core.oracle_store import OracleStore, activate
+        from repro.designs import ar_stacked_design, ar_stacked_pins
+        from repro.ilp.tableau import Tableau
+        from repro.robustness.budget import SolveBudget
+
+        peak = [0]
+        pivot = Tableau.pivot
+
+        def watched(self, row, col):
+            pivot(self, row, col)
+            peak[0] = max(peak[0], len(self._journal or ()))
+
+        previous = activate(OracleStore())
+        try:
+            Tableau.pivot = watched
+            result = synthesize(
+                ar_stacked_design(4), ar_stacked_pins(4, scale=1.75),
+                ar_filter_timing(), 2, flow="simple",
+                budget=SolveBudget(max_gomory_iters=2000,
+                                   max_bnb_nodes=1, max_lp_solves=50))
+        finally:
+            Tableau.pivot = pivot
+            activate(previous)
+        assert result.degraded
+        assert 0 < peak[0] <= 5000, peak[0]
+
 
 # ---------------------------------------------------------------------
 class TestCrossCheck:

@@ -272,3 +272,44 @@ def test_golden_schedule(design, params, digest):
                   for op in s.start_step)
     assert hashlib.sha256(
         json.dumps(rows).encode()).hexdigest() == digest
+
+
+_MISSED_SCRIPT = """
+import json
+from repro import synthesize
+from repro.explore.worker import resolve_timing
+from repro.scheduling import DeadlineMissed
+from repro.service import catalog
+
+space = catalog.design_space("elliptic")
+named = []
+for scheduler in ("list", "postpone"):
+    try:
+        synthesize(space.graph, space.partitioning,
+                   resolve_timing(space.timing), 2,
+                   flow="connection-first", scheduler=scheduler)
+        named.append(None)
+    except DeadlineMissed as exc:
+        named.append(exc.failed_op)
+print(json.dumps(named))
+"""
+
+
+def test_deadline_missed_names_one_op_under_every_hash_seed():
+    """Several producers miss at once on elliptic L2; the error (and so
+    postpone's culprits) must not follow set iteration order."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    named = set()
+    for seed in ("1", "3", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", _MISSED_SCRIPT],
+                             capture_output=True, text=True, env=env,
+                             check=True)
+        named.update(json.loads(out.stdout))
+    assert len(named) == 1 and None not in named, named

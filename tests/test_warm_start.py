@@ -479,6 +479,69 @@ class TestWarmExecutorEqualsCold:
         assert len(cold) == len(jobs)
         assert all(status == "ok" for status, _ in cold.values())
 
+    def test_each_design_gets_its_own_chain(self):
+        """Two designs at equal sweep params: one chain per design (a
+        merged chain hands each warm basis to the other design), and
+        warm answers equal cold ones.  Inline here; CI's explore-smoke
+        list cell runs the same sweep on two forked workers."""
+        jobs = []
+        for name in ("ar-stacked-2", "ar-stacked-4"):
+            spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],
+                                   "pin_scale": [2.0, 1.95, 1.9]})
+            jobs.extend(spec.expand(design_space(name)))
+        for index, job in enumerate(jobs):
+            job.index = index
+        chains = Executor(warm=True)._chains(jobs)
+        assert sorted({job.graph.name for job in chain}
+                      for chain in chains) == [{"ar-stacked-2"},
+                                               {"ar-stacked-4"}]
+
+        def answers(warm):
+            executor = Executor(
+                workers=1, cache=ResultCache(), warm=warm,
+                oracle_store=OracleStore() if warm else None)
+            return {p["key"]: (p["status"], p["metrics"]["total_pins"],
+                               p["metrics"]["latency"])
+                    for p in executor.run(jobs).points}
+
+        cold = answers(False)
+        assert len(cold) == len(jobs)
+        assert all(status == "ok" for status, _, _ in cold.values())
+        assert answers(True) == cold
+
+    def test_designs_sharing_a_graph_get_their_own_chains(self):
+        """ar-general and ar-general-bidir share one graph and differ
+        in port model: still one chain each."""
+        from repro.explore.keys import graph_digest
+
+        jobs = []
+        for name in ("ar-general", "ar-general-bidir"):
+            spec = SweepSpec(axes={"rate": [3], "pin_scale": [1.0, 0.9]})
+            jobs.extend(spec.expand(design_space(name)))
+        assert graph_digest(jobs[0].graph) == graph_digest(jobs[-1].graph)
+        chains = Executor(warm=True)._chains(jobs)
+        assert [[job.partitioning.chip(1).bidirectional for job in chain]
+                for chain in chains] == [[False, False], [True, True]]
+
+    def test_chain_keys_hash_each_graph_once(self, monkeypatch):
+        """The chain key's graph digest is memoized on the graph, so a
+        sweep over two port models hashes the graph once, not once per
+        job."""
+        from repro.explore import keys
+
+        spec = SweepSpec(axes={
+            "rate": [2], "flow": ["simple"],
+            "port_model": ["unidirectional", "bidirectional"],
+            "pin_scale": [2.0, 1.9]})
+        jobs = spec.expand(design_space("ar-stacked-2"))
+        hashed = []
+        serialize = keys.graph_to_dict
+        monkeypatch.setattr(keys, "graph_to_dict", lambda graph: (
+            hashed.append(graph.name), serialize(graph))[1])
+        chains = Executor(warm=True)._chains(jobs)
+        assert [len(chain) for chain in chains] == [2, 2]
+        assert hashed == ["ar-stacked-2"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_points_drop_oracle_deltas_after_merge(self, workers):
         spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],
