@@ -44,13 +44,13 @@ from repro.errors import ReproError
 from repro.explore.pareto import OBJECTIVES, pareto_front
 from repro.explore.spec import SweepJob
 from repro.io_json import SCHEMA_VERSION, canonical_dumps
-from repro.obs import HUB, TRACER, extract_headers
+from repro.obs import TRACER, extract_headers
 from repro.obs.prometheus import render_cluster_metrics
+from repro.perf import PerfRegistry
 from repro.service import catalog
 from repro.service.app import (COMPLETED_STATUSES, Handled,
                                job_response, wants_prometheus)
 from repro.service.jobs import Job, JobStore
-from repro.service.metrics import ServiceMetrics
 from repro.cluster.cache_client import ReadThroughCache
 from repro.cluster.http import request_json
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
@@ -153,7 +153,8 @@ class FrontTier:
         if not config.shards:
             raise ReproError("cluster needs at least one shard")
         self.config = config
-        self.metrics = ServiceMetrics(names=FRONT_COUNTERS)
+        self.metrics = PerfRegistry(counters=FRONT_COUNTERS)
+        self.metrics.gauge("front.ema_job_ms", 0.0)
         self.shards: Dict[str, ShardState] = {
             a.name: ShardState(a) for a in config.shards}
         if len(self.shards) != len(config.shards):
@@ -339,10 +340,9 @@ class FrontTier:
                 return status, out, (
                     {"Retry-After": retry_after} if retry_after else {})
             self.metrics.inc("proxied")
-            self.metrics.observe_job_ms(
-                (time.perf_counter() - start) * 1000.0)
-            HUB.observe("front.route_ms",
-                        (time.perf_counter() - start) * 1000.0)
+            route_ms = (time.perf_counter() - start) * 1000.0
+            self.metrics.observe("front.route_ms", route_ms)
+            self.metrics.ema("front.ema_job_ms", route_ms)
             sp.set(owner=owner, failovers=len(tried))
             return status, self._rewrite(payload, owner), {}
 
@@ -727,19 +727,24 @@ class FrontTier:
                     "ema_job_ms": svc.get("ema_job_ms", 0.0),
                 })
             shards[state.address.name] = entry
-        # Scrape-time gauges for the front's own hub section.
-        HUB.gauges({
+        # Scrape-time gauges; the Prometheus text renders them from
+        # "obs".
+        self.metrics.gauges({
             "front.batch_windows_open": len(self.batches),
             "front.tasks_inflight": len(self._tasks),
             "cluster.queue_depth": queue_depth,
             "cluster.inflight": inflight,
             "cluster.shards_healthy": healthy,
         })
-        hub = HUB.snapshot()
         out: Dict[str, Any] = {
             "schema": "repro-cluster-metrics/1",
             "schema_version": SCHEMA_VERSION,
-            "front": self.metrics.snapshot(),
+            "front": {
+                "counters": self.metrics.snapshot()["counters"],
+                "latency": self.metrics.latency("front.route_ms"),
+                "ema_job_ms": round(
+                    self.metrics.gauge_value("front.ema_job_ms"), 3),
+            },
             "cluster": {"counters": totals,
                         "queue_depth": queue_depth,
                         "inflight": inflight,
@@ -749,8 +754,7 @@ class FrontTier:
                         "shards_healthy": healthy},
             "shards": shards,
             "ring": self.ring.to_dict(),
-            "obs": {"histograms": hub["histograms"],
-                    "gauges": hub["gauges"]},
+            "obs": self.metrics.obs_snapshot(),
             "tracer": TRACER.stats(),
         }
         if self.cache is not None:

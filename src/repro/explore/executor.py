@@ -38,9 +38,9 @@ from repro.explore.keys import graph_digest
 from repro.explore.pareto import (OBJECTIVES, PRUNE_OBJECTIVES,
                                   dominates, pareto_front)
 from repro.explore.spec import SweepJob
-from repro.explore.worker import run_chain, run_job
-from repro.obs import HUB, TRACER, inject_payload
-from repro.perf import PERF, PerfRegistry
+from repro.explore.worker import merge_worker_record, run_chain, run_job
+from repro.obs import TRACER, inject_payload
+from repro.perf import PerfRegistry
 from repro.robustness.budget import carve_deadline_ms
 from repro.robustness.deadline import Deadline
 
@@ -215,25 +215,11 @@ class Executor:
                 records: Dict[int, Dict[str, Any]],
                 front: List[Dict[str, float]],
                 sweep_perf: PerfRegistry,
-                merge_global: bool) -> None:
+                forked: bool) -> None:
         records[job.index] = record
         record.pop("warm_basis", None)
         sweep_perf.merge(record.get("perf") or {})
-        spans = record.pop("spans", None)
-        hub_delta = record.pop("hub", None)
-        oracle_delta = record.pop("oracle_delta", None)
-        if merge_global:
-            # Pool workers incremented *their* PERF; fold the deltas
-            # into the parent so the sweep looks like one process.
-            PERF.merge(record.get("perf") or {})
-            if self.oracle_store is not None:
-                # Likewise the oracle entries a forked worker proved.
-                self.oracle_store.merge(oracle_delta)
-            # Same for the worker's spans and histogram observations;
-            # inline runs recorded directly into the parent's TRACER /
-            # HUB, so merging there would double-count.
-            TRACER.merge(spans)
-            HUB.merge(hub_delta)
+        merge_worker_record(record, forked, self.oracle_store)
         if record.get("status") in COMPLETED_STATUSES:
             front.append(record["metrics"])
             self.cache.put(job.key, record)
@@ -263,7 +249,7 @@ class Executor:
             record = run_job(inject_payload(
                 job.payload(deadline_ms=slice_ms)))
             self._absorb(record, job, records, front, sweep_perf,
-                         merge_global=False)
+                         forked=False)
 
     def _run_pool(self, pending: List[SweepJob], deadline: Deadline,
                   records: Dict[int, Dict[str, Any]],
@@ -301,7 +287,7 @@ class Executor:
                         "error": f"worker failed: {exc}"}
                     continue
                 self._absorb(record, job, records, front, sweep_perf,
-                             merge_global=True)
+                             forked=True)
                 # Cooperative cancellation of queued work that can no
                 # longer matter: everything once the global deadline is
                 # gone, dominated points always.
@@ -350,7 +336,7 @@ class Executor:
                 if basis is not None:
                     warm = basis
                 self._absorb(record, job, records, front, sweep_perf,
-                             merge_global=False)
+                             forked=False)
                 remaining -= 1
 
     def _run_chains_pool(self, chains: List[List[SweepJob]],
@@ -394,7 +380,7 @@ class Executor:
                     continue
                 for job, record in zip(chain, chain_records):
                     self._absorb(record, job, records, front,
-                                 sweep_perf, merge_global=True)
+                                 sweep_perf, forked=True)
                 # Chains are the cancellation granularity in warm mode:
                 # once the deadline is gone, unstarted chains are cut.
                 if deadline.expired():

@@ -26,13 +26,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.check.report import CheckError
 from repro.core.flow import SynthesisOptions, synthesize
-from repro.core.oracle_store import get_active
+from repro.core.oracle_store import OracleStore, get_active
 from repro.errors import ReproError
 from repro.io_json import (_stats_to_dict, graph_from_dict,
                            partitioning_from_dict)
 from repro.modules.library import (ar_filter_timing,
                                    elliptic_filter_timing)
-from repro.obs import HUB, TRACER, extract_payload
+from repro.obs import TRACER, extract_payload
 from repro.perf import PERF
 from repro.robustness.budget import BudgetExhausted, SolveBudget
 
@@ -108,15 +108,16 @@ def _run_point(payload: Mapping[str, Any],
         "cached": False,
     }
     start = time.perf_counter()
-    before = PERF.snapshot()
-    hub_before = HUB.snapshot()
     store = get_active()
     mark = store.mark() if store is not None else 0
     # Re-activate the submitter's trace context (rides in the payload
     # across the fork/thread boundary) so this job's spans parent
     # under it; the delta ships back in the record for the merge.
+    # The perf scope counts exactly this solve's work, even beside
+    # other solves on a thread pool.
     span_mark = TRACER.mark()
-    with TRACER.attach(extract_payload(payload)), \
+    with PERF.scope() as solve_perf, \
+            TRACER.attach(extract_payload(payload)), \
             TRACER.span("job.solve", layer="worker",
                         index=record["index"]) as job_span:
         try:
@@ -175,17 +176,29 @@ def _run_point(payload: Mapping[str, Any],
                      key=record["key"][:12])
     record.setdefault(
         "wall_ms", round((time.perf_counter() - start) * 1000.0, 3))
-    HUB.observe("worker.solve_ms", record["wall_ms"])
-    record["perf"] = PERF.delta_since(before)
-    hub_delta = HUB.delta_since(hub_before)
-    if hub_delta:
-        record["hub"] = hub_delta
+    record["perf"] = solve_perf.delta_since({})
     spans = TRACER.spans_since(span_mark)
     if spans:
         record["spans"] = spans
     if store is not None:
         record["oracle_delta"] = store.delta_since(mark)
     return record
+
+
+def merge_worker_record(record: Dict[str, Any], forked: bool,
+                        store: Optional[OracleStore]) -> None:
+    """Pop a record's ``spans`` and ``oracle_delta`` and, for a record
+    from a forked worker, merge them and its ``perf`` into this process
+    (``PERF``, ``TRACER``, ``store``).  A thread-pool or inline worker
+    already recorded into this process's globals, so merging its record
+    would count everything twice."""
+    spans = record.pop("spans", None)
+    oracle_delta = record.pop("oracle_delta", None)
+    if forked:
+        PERF.merge(record.get("perf") or {})
+        if store is not None:
+            store.merge(oracle_delta)
+        TRACER.merge(spans)
 
 
 def run_chain(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:

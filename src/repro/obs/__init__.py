@@ -1,20 +1,18 @@
-"""``repro.obs`` — tracing, histogram metrics, Prometheus exposition.
+"""``repro.obs`` — tracing and the Prometheus exposition.
 
 The observability tier for the whole stack (solver → pipeline →
-explorer → service → cluster front).  Three pieces:
+explorer → service → cluster front).  Two pieces:
 
 * :mod:`repro.obs.trace` — structured spans with ambient parenting,
   deterministic sampling, a bounded ring buffer, mark/delta/merge
   across fork workers, and an optional JSONL export (``TRACER``);
-* :mod:`repro.obs.metrics` — fixed-bucket histograms and gauges
-  unified with the ``PerfRegistry`` counters (``HUB``);
 * :mod:`repro.obs.prometheus` / :mod:`repro.obs.render` — the text
   exposition for ``/metrics`` and the ``repro trace`` span-tree view.
 
-Importing this package installs a perf phase hook, so every existing
-``PERF.phase(key)`` region (``flow.*``, ``simplex.solve_lp``,
-``gomory.solve``, ``bnb.solve``) doubles as a span when tracing is on
-— the solver layer needs no direct obs imports.  Configuration is via
+Metrics (counters, phase timings, histograms, gauges) live in the one
+:class:`repro.perf.PerfRegistry` class, whose ``phase(key)`` regions
+(``flow.*``, ``simplex.solve_lp``, ``gomory.solve``, ``bnb.solve``)
+open spans themselves.  Configuration is via
 :func:`configure` (the CLI's ``--trace`` / ``--trace-sample`` /
 ``--trace-export`` flags) or the ``REPRO_TRACE`` /
 ``REPRO_TRACE_SAMPLE`` / ``REPRO_TRACE_EXPORT`` environment variables,
@@ -35,23 +33,16 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro import perf as _perf
 from repro.obs.context import (extract_headers, extract_payload,
                                inject_headers, inject_payload)
-from repro.obs.metrics import (DEFAULT_BUCKETS_MS, HUB, Histogram,
-                               MetricsHub)
 from repro.obs.trace import (TRACER, Span, SpanContext, Tracer,
                              current_context, span)
 
 __all__ = [
     "TRACER",
-    "HUB",
     "Tracer",
     "Span",
     "SpanContext",
-    "MetricsHub",
-    "Histogram",
-    "DEFAULT_BUCKETS_MS",
     "span",
     "current_context",
     "configure",
@@ -60,16 +51,6 @@ __all__ = [
     "inject_headers",
     "extract_headers",
 ]
-
-
-def _phase_hook(key: str):
-    # Existing phase markers become spans: flow.* phases belong to the
-    # pass pipeline, everything else (simplex/gomory/bnb) to the solver.
-    layer = "pipeline" if key.startswith("flow.") else "solver"
-    return TRACER.span(key, layer=layer)
-
-
-_perf.set_phase_hook(_phase_hook)
 
 
 def configure(enabled: Optional[bool] = None,

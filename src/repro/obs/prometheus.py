@@ -9,14 +9,20 @@ Conventions:
 
 * service / front counters  → ``repro_service_<name>_total`` /
   ``repro_front_<name>_total`` counters;
-* perf registry counters    → ``repro_perf_counter_total{key="..."}``
+* merged solver counters    → ``repro_perf_counter_total{key="..."}``
   (one family with a ``key`` label, not one family per counter — the
   registry namespace is open-ended);
-* perf phase timings        → ``repro_perf_phase_seconds_total{key=...}``;
-* hub histograms            → ``repro_<name>`` histograms with
+* merged phase timings      → ``repro_perf_phase_seconds_total{key=...}``;
+* the tier's histograms     → ``repro_<name>`` histograms with
   cumulative ``_bucket{le=...}`` / ``_sum`` / ``_count`` series;
-* hub / derived gauges      → ``repro_<name>`` gauges;
+* the tier's gauges         → ``repro_<name>`` gauges;
 * per-shard cluster gauges  → ``repro_shard_<name>{shard="..."}``.
+
+Each series has one home, so no line repeats (the 0.0.4 format leaves
+ingestion undefined when one does): a value the tier keeps as a gauge
+(``service.queue_depth``, ``front.ema_job_ms``, ``cluster.inflight``,
+...) is rendered from the ``obs`` section only, even where the JSON
+document repeats it in a tier section for its own readers.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import Any, Dict, List, Mapping, Optional
 __all__ = [
     "render_service_metrics",
     "render_cluster_metrics",
-    "render_hub",
     "CONTENT_TYPE",
 ]
 
@@ -101,8 +106,8 @@ class _Writer:
 
     def histogram(self, family: str, snap: Mapping[str, Any],
                   labels: Optional[Mapping[str, Any]] = None) -> None:
-        """Emit cumulative buckets + sum + count for one hub snapshot
-        (per-bucket counts; see :class:`repro.obs.metrics.Histogram`)."""
+        """Emit cumulative buckets + sum + count for one histogram
+        snapshot (per-bucket counts; see :class:`repro.perf.Histogram`)."""
         family = _name(family)
         if family not in self._typed:
             self.lines.append(f"# TYPE {family} histogram")
@@ -133,14 +138,15 @@ def _numeric(value: Any) -> bool:
     return isinstance(value, bool) or isinstance(value, (int, float))
 
 
-def render_hub(writer: _Writer, obs: Mapping[str, Any],
-               labels: Optional[Mapping[str, Any]] = None) -> None:
-    """Render a ``MetricsHub`` histograms/gauges section."""
+def _render_obs(writer: _Writer, obs: Any) -> None:
+    """Render a tier registry's histograms/gauges (``obs`` section)."""
+    if not isinstance(obs, dict):
+        return
     for hist_name, snap in sorted(
             (obs.get("histograms") or {}).items()):
-        writer.histogram(f"repro_{hist_name}", snap, labels)
+        writer.histogram(f"repro_{hist_name}", snap)
     for gauge_name, value in sorted((obs.get("gauges") or {}).items()):
-        writer.gauge(f"repro_{gauge_name}", value, labels)
+        writer.gauge(f"repro_{gauge_name}", value)
 
 
 def _render_perf(writer: _Writer, perf: Mapping[str, Any]) -> None:
@@ -178,15 +184,10 @@ def render_service_metrics(payload: Mapping[str, Any]) -> str:
     for counter, value in sorted(
             (service.get("counters") or {}).items()):
         writer.counter(f"repro_service_{counter}_total", value)
-    writer.gauge("repro_service_queue_depth",
-                 service.get("queue_depth", 0))
-    writer.gauge("repro_service_inflight", service.get("inflight", 0))
     writer.gauge("repro_service_draining",
                  1 if service.get("draining") else 0)
     writer.gauge("repro_service_jobs_retained",
                  service.get("jobs_retained", 0))
-    writer.gauge("repro_service_ema_job_ms",
-                 service.get("ema_job_ms", 0.0))
     _render_latency(writer, "repro_service",
                     service.get("latency") or {})
     workers = payload.get("workers", {})
@@ -197,9 +198,7 @@ def render_service_metrics(payload: Mapping[str, Any]) -> str:
         if isinstance(stats, dict):
             _render_stats_gauges(writer, prefix, stats)
     _render_perf(writer, payload.get("perf") or {})
-    obs = payload.get("obs")
-    if isinstance(obs, dict):
-        render_hub(writer, obs)
+    _render_obs(writer, payload.get("obs"))
     tracer = payload.get("tracer")
     if isinstance(tracer, dict):
         writer.gauge("repro_tracer_enabled",
@@ -218,14 +217,12 @@ def render_cluster_metrics(payload: Mapping[str, Any]) -> str:
     front = payload.get("front", {})
     for counter, value in sorted((front.get("counters") or {}).items()):
         writer.counter(f"repro_front_{counter}_total", value)
-    writer.gauge("repro_front_ema_job_ms", front.get("ema_job_ms", 0.0))
     _render_latency(writer, "repro_front", front.get("latency") or {})
     cluster = payload.get("cluster", {})
     for counter, value in sorted(
             (cluster.get("counters") or {}).items()):
         writer.counter(f"repro_cluster_{counter}_total", value)
-    for gauge in ("queue_depth", "inflight", "workers", "shards",
-                  "shards_healthy"):
+    for gauge in ("workers", "shards"):
         if gauge in cluster:
             writer.gauge(f"repro_cluster_{gauge}", cluster[gauge])
     if "latency_p95_ms" in cluster:
@@ -251,7 +248,5 @@ def render_cluster_metrics(payload: Mapping[str, Any]) -> str:
     cache = payload.get("cache")
     if isinstance(cache, dict):
         _render_stats_gauges(writer, "repro_front_cache", cache)
-    obs = payload.get("obs")
-    if isinstance(obs, dict):
-        render_hub(writer, obs)
+    _render_obs(writer, payload.get("obs"))
     return writer.text()

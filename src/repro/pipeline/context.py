@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.perf import PERF
+from repro.perf import PerfRegistry
 from repro.pipeline.resource_table import ResourceTable
 
-#: PERF counter deltas reported under the same stats key by ALL flows,
+#: PERF counters reported under the same stats key by ALL flows,
 #: so callers can diff effort across flows without key juggling.
 STAT_COUNTERS = {
     "pin_checks": "pin.checks",
@@ -35,15 +35,16 @@ STAT_COUNTERS = {
 }
 
 
-def normalized_stats(before, **extra) -> Dict[str, float]:
-    """The cross-flow stats contract: counter deltas + flow extras.
+def normalized_stats(perf: PerfRegistry, **extra) -> Dict[str, float]:
+    """The cross-flow stats contract: the flow's counters + extras.
 
-    Every flow reports the solver-effort counters (zero when a solver
-    was not exercised) — including ``search_steps``/``reassignments``,
-    which the chapter-4/5 engines tick as PERF counters — so the key
-    set is identical across flows; flow-specific extras ride along.
+    Every flow reports the solver-effort counters of its ``PERF`` scope
+    (zero when a solver was not exercised) — including
+    ``search_steps``/``reassignments``, which the chapter-4/5 engines
+    tick as PERF counters — so the key set is identical across flows;
+    flow-specific extras ride along.
     """
-    counters = PERF.delta_since(before)["counters"]
+    counters = perf.snapshot()["counters"]
     stats: Dict[str, float] = {
         key: counters.get(counter, 0)
         for key, counter in STAT_COUNTERS.items()
@@ -89,7 +90,7 @@ class FlowContext:
     assignment: Any = None
     simple_allocation: Any = None
     stats_extra: Dict[str, Any] = field(default_factory=dict)
-    perf_before: Any = None      # PERF snapshot from the flow runner
+    perf: Any = None             # the flow's scope of PERF (run_flow)
     result: Any = None           # the finished SynthesisResult
 
     # ------------------------------------------------------------------

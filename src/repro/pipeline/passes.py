@@ -202,7 +202,7 @@ class BuildSimpleResult:
             schedule=ctx.schedule,
             resources=ctx.table.modules,
             simple_allocation=ctx.simple_allocation,
-            stats=normalized_stats(ctx.perf_before,
+            stats=normalized_stats(ctx.perf,
                                    pin_checks=checker.checks,
                                    pin_cache_hits=checker.cache_hits,
                                    pin_store_hits=checker.store_hits),
@@ -278,7 +278,7 @@ class BuildConnectionFirstResult:
             resources=ctx.table.modules,
             interconnect=ctx.interconnect,
             assignment=ctx.allocator.final_assignment(),
-            stats=normalized_stats(ctx.perf_before,
+            stats=normalized_stats(ctx.perf,
                                    initial_assignment=ctx.initial),
             diagnostics=ctx.diag,
         )
@@ -354,7 +354,7 @@ class BuildScheduleFirstResult:
             resources=ctx.table.modules,
             interconnect=ctx.interconnect,
             assignment=ctx.assignment,
-            stats=normalized_stats(ctx.perf_before),
+            stats=normalized_stats(ctx.perf),
             diagnostics=ctx.diag,
         )
 

@@ -280,9 +280,10 @@ def run_flow(name: str, ctx: FlowContext):
     """Execute a registered flow's pass list over ``ctx``.
 
     Setup passes run first; the phased passes run under the flow's
-    PERF phase with the stats baseline snapshotted in between (so
-    every flow reports solver effort identically); finish passes
-    assemble and verify the result.
+    PERF phase; finish passes assemble and verify the result.  From the
+    phased passes on, this flow's solver effort counts into its own
+    scope of ``PERF`` (``ctx.perf``), so every flow reports it the same
+    way and solves running beside it on other threads never leak in.
     """
     spec = flow_spec(name)
 
@@ -293,12 +294,12 @@ def run_flow(name: str, ctx: FlowContext):
 
     for p in spec.setup:
         run_pass(p)
-    ctx.perf_before = PERF.snapshot()
-    # The flow's PERF phase doubles as a pipeline-layer span via the
-    # perf phase hook, so the pass spans below nest under it.
-    with PERF.phase(spec.perf_phase):
-        for p in spec.phased:
+    with PERF.scope() as ctx.perf:
+        # The flow's PERF phase is a pipeline-layer span, so the pass
+        # spans below nest under it.
+        with PERF.phase(spec.perf_phase):
+            for p in spec.phased:
+                run_pass(p)
+        for p in spec.finish:
             run_pass(p)
-    for p in spec.finish:
-        run_pass(p)
     return ctx.result

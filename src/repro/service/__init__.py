@@ -9,9 +9,10 @@ that amortizes warm state across requests:
 * :class:`SynthesisService` — admission queue with deadline-aware load
   shedding, request coalescing keyed by
   :func:`repro.explore.keys.job_key`, the shared persistent
-  :class:`~repro.explore.cache.ResultCache`, and the warm
-  :class:`~repro.service.pool.WorkerPool`
-  (:mod:`repro.service.app`);
+  :class:`~repro.explore.cache.ResultCache`, the warm
+  :class:`~repro.service.pool.WorkerPool`, and its own
+  :class:`repro.perf.PerfRegistry` of counters, latency histograms and
+  gauges (:mod:`repro.service.app`);
 * :func:`serve` / :class:`ServiceServer` / :class:`ThreadedServer` —
   the asyncio HTTP front end (``POST /v1/synthesize``,
   ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``GET /healthz``,
@@ -30,7 +31,6 @@ from repro.service.client import (ServiceClient, ServiceError,
                                   parse_retry_after)
 from repro.service.jobs import (Job, JobStore, ServiceConfig,
                                 ShardIdentity)
-from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WorkerPool
 from repro.service.server import ServiceServer, ThreadedServer, serve
 
@@ -42,7 +42,6 @@ __all__ = [
     "job_response",
     "Job",
     "JobStore",
-    "ServiceMetrics",
     "WorkerPool",
     "ServiceServer",
     "ThreadedServer",

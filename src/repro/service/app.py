@@ -39,20 +39,35 @@ from repro.errors import ReproError
 from repro.explore.cache import open_result_cache
 from repro.explore.pareto import OBJECTIVES, pareto_front
 from repro.explore.spec import SweepJob, SweepSpec
+from repro.explore.worker import merge_worker_record
 from repro.io_json import SCHEMA_VERSION
-from repro.obs import (HUB, TRACER, extract_headers, inject_payload)
+from repro.obs import TRACER, extract_headers, inject_payload
 from repro.obs.prometheus import render_service_metrics
-from repro.perf import PERF, PerfRegistry
+from repro.perf import PerfRegistry
 from repro.robustness.budget import carve_deadline_ms
 from repro.service import catalog
 from repro.service.jobs import Job, JobStore, ServiceConfig
-from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WorkerPool
 
 #: Version tag stamped on every job response object.
 RESPONSE_SCHEMA = "repro-service-response/1"
 #: Job statuses that carry a full record.
 COMPLETED_STATUSES = ("ok", "degraded")
+
+#: Monotonic counters the service increments; ``/metrics`` reports all
+#: of them even when still zero, so dashboards never see missing keys.
+COUNTER_NAMES = (
+    "accepted",            # requests admitted (incl. coalesced + cached)
+    "coalesced",           # joined an identical in-flight job
+    "cache_hits",          # served from the persistent result cache
+    "shed",                # rejected with 429 by admission control
+    "executed",            # jobs actually dispatched to the worker pool
+    "completed",           # executed jobs that reached a terminal state
+    "degraded",            # completed with budget fallbacks fired
+    "errors",              # completed with status error
+    "invalid",             # completed but failed the design-rule check
+    "budget_exhausted",    # completed with the budget fully spent
+)
 
 
 class ShedRequest(ReproError):
@@ -68,7 +83,10 @@ class SynthesisService:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.metrics = ServiceMetrics()
+        # This tier's own counters, latency histograms and gauges; the
+        # workers' merged solver counts stay apart, in ``perf``.
+        self.metrics = PerfRegistry(counters=COUNTER_NAMES)
+        self.metrics.gauge("service.ema_job_ms", 0.0)
         self.perf = PerfRegistry()
         # A path opens the local JSONL cache; a remote://host:port
         # spec mounts the cluster's shared cache server read-through.
@@ -105,14 +123,15 @@ class SynthesisService:
     # -- admission -----------------------------------------------------
     def projected_wait_ms(self, new_jobs: int = 1) -> float:
         """Expected queue wait for a request arriving now."""
-        ema = self.metrics.ema_job_ms
+        ema = self.metrics.gauge_value("service.ema_job_ms")
         depth = self.queue_depth + max(0, new_jobs - 1)
         return depth * ema / self.pool.workers
 
     def check_admission(self, deadline_ms: Optional[float],
                         new_jobs: int = 1) -> None:
         """Raise :class:`ShedRequest` unless the work can be admitted."""
-        ema_s = max(0.001, self.metrics.ema_job_ms / 1000.0)
+        ema_s = max(0.001,
+                    self.metrics.gauge_value("service.ema_job_ms") / 1000.0)
         if self.queue_depth + new_jobs > self.config.max_queue:
             self.metrics.inc("shed")
             raise ShedRequest(
@@ -218,28 +237,17 @@ class SynthesisService:
                       "error": f"worker pool failure: {exc}"}
         wall_ms = (time.perf_counter() - start) * 1000.0
         record.setdefault("wall_ms", round(wall_ms, 3))
-        delta = record.get("perf") or {}
-        self.perf.merge(delta)
-        spans = record.pop("spans", None)
-        hub_delta = record.pop("hub", None)
-        if self.pool.mode == "process":
-            # Pool workers incremented *their* PERF; fold the delta in
-            # so this process's registry sees the whole service.
-            PERF.merge(delta)
-            # Likewise the pin-oracle entries the worker proved: merge
-            # them so the next request (on any worker after a respawn,
-            # or answered inline) starts warmer.
-            self.oracle.merge(record.get("oracle_delta"))
-            # And the worker's spans / histogram observations (thread
-            # workers recorded straight into this process's globals).
-            TRACER.merge(spans)
-            HUB.merge(hub_delta)
-        record.pop("oracle_delta", None)
+        self.perf.merge(record.get("perf") or {})
+        # A forked worker's pin-oracle entries also warm the next
+        # request (on any worker after a respawn, or answered inline).
+        merge_worker_record(record, self.pool.mode == "process",
+                            self.oracle)
         self.cache.put(job.key, record)
-        HUB.observe("service.job_wall_ms", wall_ms)
+        self.metrics.observe("worker.solve_ms", record["wall_ms"])
+        self.metrics.observe("service.job_wall_ms", wall_ms)
+        self.metrics.ema("service.ema_job_ms", wall_ms)
         self.queue_depth -= 1
         self.inflight.pop(job.key, None)
-        self.metrics.observe_job_ms(wall_ms)
         self.metrics.inc("completed")
         status = record.get("status")
         if status == "degraded":
@@ -344,38 +352,35 @@ def health_payload(service: SynthesisService) -> Dict[str, Any]:
 
 
 def metrics_payload(service: SynthesisService) -> Dict[str, Any]:
-    snap = service.metrics.snapshot()
-    snap.update({
-        "queue_depth": service.queue_depth,
-        "inflight": len(service.inflight),
-        "draining": service.draining,
-        "jobs_retained": len(service.store),
-    })
-    # Scrape-time gauges: the hub is the one surface Prometheus (and
-    # the cluster front's auto-scaling aggregation) reads them from.
-    counters = snap.get("counters", {})
-    accepted = counters.get("accepted", 0)
-    HUB.gauges({
+    metrics = service.metrics
+    counters = metrics.snapshot()["counters"]
+    accepted = counters["accepted"]
+    # Scrape-time gauges; the Prometheus text renders them from "obs".
+    metrics.gauges({
         "service.queue_depth": service.queue_depth,
         "service.inflight": len(service.inflight),
-        "service.ema_job_ms": snap.get("ema_job_ms", 0.0),
         "service.cache_hit_ratio": (
-            counters.get("cache_hits", 0) / accepted if accepted
-            else 0.0),
+            counters["cache_hits"] / accepted if accepted else 0.0),
     })
-    hub = HUB.snapshot()
     out = {
         "schema": "repro-service-metrics/1",
-        "service": snap,
+        "service": {
+            "counters": counters,
+            "latency": metrics.latency("service.job_wall_ms"),
+            "ema_job_ms": round(
+                metrics.gauge_value("service.ema_job_ms"), 3),
+            "queue_depth": service.queue_depth,
+            "inflight": len(service.inflight),
+            "draining": service.draining,
+            "jobs_retained": len(service.store),
+        },
         "workers": {"count": service.pool.workers,
                     "mode": service.pool.mode},
         "cache": service.cache.stats(),
         "oracle": service.oracle.stats(),
+        # The workers' merged solver counters/timings.
         "perf": service.perf.snapshot(),
-        # Counters/timings stay under "perf"; the hub section carries
-        # only what PerfRegistry cannot: distributions and gauges.
-        "obs": {"histograms": hub["histograms"],
-                "gauges": hub["gauges"]},
+        "obs": metrics.obs_snapshot(),
         "tracer": TRACER.stats(),
     }
     if service.config.shard is not None:

@@ -179,7 +179,7 @@ class TestFleetCoalescing:
             again = client.synthesize("ar-simple", rate=4)
             assert again["cached"] is True
             assert runner.calls == 1
-            hits = cluster.front.front.metrics.count("front_cache_hits")
+            hits = cluster.front.front.metrics.counters["front_cache_hits"]
             assert hits >= 1
 
     def test_one_shards_solve_is_the_fleets_cache_hit(self):
@@ -225,8 +225,8 @@ class TestBatching:
             assert runner.calls == 4  # distinct points all solved
             front = cluster.front.front
             # At least one window folded >1 point into a sweep.
-            assert front.metrics.count("batched") >= 2
-            assert front.metrics.count("batch_windows") >= 1
+            assert front.metrics.counters["batched"] >= 2
+            assert front.metrics.counters["batch_windows"] >= 1
 
     def test_batching_disabled_routes_directly(self):
         runner = CountingRunner()
@@ -234,8 +234,8 @@ class TestBatching:
             response = cluster.client().synthesize("ar-simple", rate=3)
             assert response["status"] == "ok"
             front = cluster.front.front
-            assert front.metrics.count("batch_windows") == 0
-            assert front.metrics.count("proxied") >= 1
+            assert front.metrics.counters["batch_windows"] == 0
+            assert front.metrics.counters["proxied"] >= 1
 
 
 class TestSweepSplit:
@@ -282,7 +282,7 @@ class TestFailover:
                 assert response["status"] == "ok"
                 assert response["shard"] == "shard-1"
             front = cluster.front.front
-            assert front.metrics.count("failovers") >= 1
+            assert front.metrics.counters["failovers"] >= 1
             metrics = client.metrics()
             assert metrics["cluster"]["shards_healthy"] == 1
 

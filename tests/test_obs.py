@@ -2,8 +2,9 @@
 
 These exercise the :mod:`repro.obs` layer in isolation — ambient span
 parenting, the deterministic sampler, the PerfRegistry-shaped
-mark/delta/merge path, histogram bucket arithmetic, the Prometheus
-text renderer, and the ``repro trace`` tree renderer.  End-to-end
+mark/delta/merge path, the registry's histogram bucket arithmetic and
+gauges, the Prometheus text renderer, and the ``repro trace`` tree
+renderer.  End-to-end
 propagation across fork workers and cluster hops lives in
 ``test_obs_propagation.py``.
 """
@@ -12,28 +13,25 @@ import json
 
 import pytest
 
-from repro.obs import HUB, TRACER, SpanContext, configure
+from repro.obs import TRACER, SpanContext, configure
 from repro.obs.context import (extract_headers, extract_payload,
                                inject_headers, inject_payload)
-from repro.obs.metrics import DEFAULT_BUCKETS_MS, Histogram, MetricsHub
 from repro.obs.prometheus import (render_cluster_metrics,
                                   render_service_metrics)
 from repro.obs.render import build_traces, load_spans, render_file
 from repro.obs.trace import (PARENT_HEADER, SAMPLED_HEADER,
                              TRACE_HEADER, Tracer)
-from repro.perf import PerfRegistry
+from repro.perf import Histogram, PerfRegistry
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    """Every test starts and ends with a disabled, empty tracer/hub."""
+    """Every test starts and ends with a disabled, empty tracer."""
     TRACER.configure(enabled=False, sample_rate=1.0, export_path="")
     TRACER.reset()
-    HUB.reset()
     yield
     TRACER.configure(enabled=False, sample_rate=1.0, export_path="")
     TRACER.reset()
-    HUB.reset()
 
 
 def enable(**kwargs):
@@ -177,68 +175,91 @@ class TestHistogram:
         assert snap["count"] == 4
         assert snap["sum"] == pytest.approx(555.5)
 
-    def test_delta_and_merge_are_inverse(self):
-        hist = Histogram(bounds=(1, 10))
-        hist.observe(5)
-        before = hist.snapshot()
-        hist.observe(0.5)
-        hist.observe(20)
-        delta = hist.delta_since(before)
-        assert delta["counts"] == [1, 0, 1]
-        assert delta["count"] == 2
+    def test_values_on_a_bound_land_in_that_bucket(self):
+        hist = Histogram(bounds=(1, 10, 100))
+        for value in (1, 10, 100, 100.5):
+            hist.observe(value)
+        assert hist.snapshot()["counts"] == [1, 1, 1, 1]
 
-        other = Histogram(bounds=(1, 10))
-        assert other.merge(delta)
-        assert other.snapshot()["counts"] == [1, 0, 1]
-        # Mismatched bounds refuse rather than corrupt.
-        assert not Histogram(bounds=(2, 4)).merge(delta)
-
-    def test_empty_delta_is_none(self):
-        hist = Histogram()
-        snap = hist.snapshot()
-        assert hist.delta_since(snap) is None
+    def test_quantiles_interpolate_within_buckets(self):
+        hist = Histogram(bounds=(10, 20))
+        assert hist.quantile(0.5) == 0.0
+        for value in (12, 14, 16, 18):
+            hist.observe(value)
+        # All four in (10, 20]: the median sits half-way through it.
+        assert hist.quantile(0.5) == pytest.approx(15.0)
+        # Never above the largest observation.
+        assert hist.quantile(0.95) == pytest.approx(18.0)
+        hist.observe(50)  # overflow: interpolates up to the max
+        assert hist.quantile(1.0) == pytest.approx(50.0)
 
 
 class TestMetricsHub:
+    """The cases of the hub class ``PerfRegistry`` absorbed, run against
+    the registry itself."""
+
     def test_histograms_and_gauges(self):
-        hub = MetricsHub(perf=PerfRegistry())
-        hub.observe("solve_ms", 12.0)
-        hub.observe("solve_ms", 700.0)
-        hub.gauge("queue_depth", 3)
-        hub.gauges({"inflight": 2, "skipped": None})
-        snap = hub.snapshot()
+        registry = PerfRegistry()
+        registry.observe("solve_ms", 12.0)
+        registry.observe("solve_ms", 700.0)
+        registry.gauge("queue_depth", 3)
+        registry.gauges({"inflight": 2, "skipped": None})
+        snap = registry.obs_snapshot()
         assert snap["histograms"]["solve_ms"]["count"] == 2
         assert snap["gauges"] == {"queue_depth": 3.0, "inflight": 2.0}
-
-    def test_delta_ships_histograms_only(self):
-        hub = MetricsHub(perf=PerfRegistry())
-        hub.inc("jobs")
-        before = hub.snapshot()
-        hub.observe("solve_ms", 5.0)
-        hub.inc("jobs")
-        hub.gauge("queue_depth", 9)
-        delta = hub.delta_since(before)
-        assert set(delta) == {"histograms"}
-        assert delta["histograms"]["solve_ms"]["count"] == 1
-
-    def test_merge_creates_missing_histograms(self):
-        source = MetricsHub(perf=PerfRegistry())
-        source.observe("solve_ms", 5.0)
-        delta = source.delta_since({})
-        target = MetricsHub(perf=PerfRegistry())
-        assert target.merge(delta) == 1
-        assert target.snapshot()["histograms"]["solve_ms"]["count"] == 1
-        assert target.merge(None) == 0
+        assert registry.gauge_value("inflight") == 2.0
+        assert registry.gauge_value("missing") == 0.0
 
     def test_counters_delegate_to_perf(self):
-        perf = PerfRegistry()
-        hub = MetricsHub(perf=perf)
-        hub.inc("jobs", 3)
-        with hub.phase("solve"):
+        registry = PerfRegistry(counters=("idle",))
+        registry.inc("jobs", 3)
+        with registry.phase("solve"):
             pass
-        snap = perf.snapshot()
-        assert snap["counters"]["jobs"] == 3
+        snap = registry.snapshot()
+        assert snap["counters"] == {"idle": 0, "jobs": 3}
         assert "solve" in snap["timings"]
+
+    def test_delta_carries_no_histograms_or_gauges(self):
+        registry = PerfRegistry()
+        registry.inc("jobs")
+        before = registry.snapshot()
+        registry.observe("solve_ms", 5.0)
+        registry.inc("jobs")
+        registry.gauge("queue_depth", 9)
+        delta = registry.delta_since(before)
+        assert delta == {"counters": {"jobs": 1}, "timings": {}}
+        target = PerfRegistry()
+        target.merge(registry)
+        assert target.obs_snapshot() == {"histograms": {}, "gauges": {}}
+
+    def test_latency_block_and_ema(self):
+        registry = PerfRegistry()
+        assert registry.latency("job_ms") == {
+            "count": 0, "p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0,
+            "mean_ms": 0.0}
+        for value in (3.0, 4.0, 8.0):
+            registry.observe("job_ms", value)
+            registry.ema("ema_ms", value)
+        block = registry.latency("job_ms")
+        assert block["count"] == 3
+        assert block["max_ms"] == 8.0
+        assert block["mean_ms"] == 5.0
+        assert 2.0 <= block["p50_ms"] <= block["p95_ms"] <= 8.0
+        # The first value seeds the average; later ones weigh 0.2.
+        assert registry.gauge_value("ema_ms") == pytest.approx(
+            0.8 * (0.8 * 3.0 + 0.2 * 4.0) + 0.2 * 8.0)
+
+    def test_reset_clears_all_four_sections(self):
+        registry = PerfRegistry()
+        registry.inc("jobs")
+        with registry.phase("solve"):
+            pass
+        registry.observe("solve_ms", 1.0)
+        registry.gauge("depth", 1)
+        registry.reset()
+        assert registry.snapshot() == {"counters": {}, "timings": {}}
+        assert registry.obs_snapshot() == {"histograms": {},
+                                           "gauges": {}}
 
 
 # ---------------------------------------------------------------------
@@ -318,8 +339,11 @@ class TestPrometheus:
                 "shard-1": {"healthy": False, "draining": True},
             },
             "cache": {"hits": 3},
+            # The cluster gauges' Prometheus home is the front's own
+            # registry, as in a real ``build_metrics`` document.
             "obs": {"histograms": {}, "gauges": {
-                "front.batch_windows_open": 0}},
+                "front.batch_windows_open": 0,
+                "cluster.queue_depth": 1, "cluster.inflight": 2}},
         }
         text = render_cluster_metrics(payload)
         assert "repro_front_requests_total 10" in text

@@ -1,8 +1,8 @@
 """End-to-end trace propagation across the two boundary kinds.
 
 * explorer ``Executor`` → **fork pool worker** (context rides in the
-  payload, spans/histograms ship back in the result record and merge
-  onto the submitter's trace);
+  payload, spans ship back in the result record and merge onto the
+  submitter's trace);
 * client → **cluster front** → shard (context rides in HTTP headers;
   all tiers run in this process — thread-mode shards plus a
   ``ThreadedFrontTier`` — so every hop's spans land in the one global
@@ -10,7 +10,9 @@
 
 Plus the client-side correlation contract: ``ServiceError`` carries the
 server-assigned request/trace ids, and both ``/metrics`` endpoints
-serve the Prometheus exposition under content negotiation.
+serve the Prometheus exposition under content negotiation, and each
+tier's latency histograms count every job exactly once whichever pool
+runs it.
 """
 
 import http.client
@@ -22,7 +24,7 @@ from repro.cluster import (ClusterConfig, ShardAddress,
                            ThreadedCacheServer, ThreadedFrontTier)
 from repro.designs import AR_SIMPLE_PINS, ar_simple_design
 from repro.explore import DesignSpace, Executor, SweepSpec
-from repro.obs import HUB, TRACER
+from repro.obs import TRACER
 from repro.service import (ServiceClient, ServiceConfig, ServiceError,
                            ShardIdentity, ThreadedServer)
 
@@ -31,11 +33,9 @@ from repro.service import (ServiceClient, ServiceConfig, ServiceError,
 def _clean_obs():
     TRACER.configure(enabled=False, sample_rate=1.0, export_path="")
     TRACER.reset()
-    HUB.reset()
     yield
     TRACER.configure(enabled=False, sample_rate=1.0, export_path="")
     TRACER.reset()
-    HUB.reset()
 
 
 def enable_tracing():
@@ -117,16 +117,12 @@ class TestForkWorkerBoundary:
             assert span["trace_id"] == sweep["trace_id"]
             assert span["parent_id"] == sweep["span_id"]
             assert span["layer"] == "worker"
-        # The workers' inner spans (pipeline stages, solver phases via
-        # the perf hook) came along on the same trace.
+        # The workers' inner spans (pipeline stages, solver phases)
+        # came along on the same trace.
         inner = [s for s in spans
                  if s["trace_id"] == sweep["trace_id"]
                  and s["layer"] in ("pipeline", "solver")]
         assert inner, "no pipeline/solver spans crossed the boundary"
-
-        # Histogram observations crossed too, on the hub-delta path.
-        hist = HUB.snapshot()["histograms"].get("worker.solve_ms")
-        assert hist is not None and hist["count"] >= 2
 
     def test_unsampled_sweep_ships_nothing(self):
         TRACER.configure(enabled=True, sample_rate=0.0,
@@ -139,6 +135,37 @@ class TestForkWorkerBoundary:
                           deadline_ms=120000).run(jobs)
         assert result.points[0]["status"] in ("ok", "degraded")
         assert TRACER.spans() == []
+
+
+# ---------------------------------------------------------------------
+class TestOneRecordingPerJob:
+    @pytest.mark.parametrize("pool_mode", ["process", "thread"])
+    def test_each_histogram_counts_each_job_once(self, pool_mode):
+        config = ServiceConfig(port=0, workers=2, pool_mode=pool_mode,
+                               cache_sync=False)
+        with ThreadedServer(config) as server:
+            client = ServiceClient(port=server.port)
+            jobs = [client.synthesize(design, rate=rate, flow=flow,
+                                      timeout_ms=60000)
+                    for design, rate, flow in (
+                        ("ar-simple", 2, "simple"),
+                        ("ar-general", 3, "connection-first"),
+                        ("ar-general", 4, "connection-first"))]
+            assert [job["status"] for job in jobs] == ["ok"] * 3
+            metrics = client.metrics()
+            records = [server.service.store.get(job["job_id"]).record
+                       for job in jobs]
+        histograms = metrics["obs"]["histograms"]
+        assert metrics["service"]["counters"]["completed"] == 3
+        assert metrics["service"]["latency"]["count"] == 3
+        assert histograms["service.job_wall_ms"]["count"] == 3
+        assert histograms["worker.solve_ms"]["count"] == 3
+        # The worker's own wall time is what the worker histogram holds.
+        assert histograms["worker.solve_ms"]["sum"] == pytest.approx(
+            sum(record["wall_ms"] for record in records))
+        for record in records:
+            assert {"hub", "spans", "oracle_delta"}.isdisjoint(record)
+            assert set(record["perf"]) == {"counters", "timings"}
 
 
 # ---------------------------------------------------------------------
@@ -210,8 +237,10 @@ class TestClusterHopBoundary:
     def test_metrics_exposition_on_both_tiers(self):
         with Cluster() as cluster:
             client = ServiceClient(port=cluster.front.port)
-            assert client.synthesize("ar-simple",
-                                     rate=3)["status"] == "ok"
+            answer = client.synthesize("ar-simple", rate=3)
+            assert answer["status"] == "ok"
+            # Each shard keeps its own histograms: scrape the owner.
+            owner = cluster.shards[int(answer["shard"].split("-")[1])]
 
             # Front: Accept negotiation.
             status, ctype, text = scrape(cluster.front.port,
@@ -229,7 +258,7 @@ class TestClusterHopBoundary:
             # Shard: ?format=prometheus wins without an Accept header,
             # and at least one histogram family is exposed.
             status, ctype, text = scrape(
-                cluster.shards[0].port, "/metrics?format=prometheus")
+                owner.port, "/metrics?format=prometheus")
             assert status == 200
             assert ctype.startswith("text/plain; version=0.0.4")
             assert "repro_service_queue_depth" in text

@@ -284,7 +284,7 @@ class TestLoadShedding:
             runner.started.wait(10.0)
             # Pretend history says a job takes a minute: a request that
             # only has 100ms to live cannot be served behind one job.
-            server.service.metrics.seed_ema_ms(60000.0)
+            server.service.metrics.gauge("service.ema_job_ms", 60000.0)
             with pytest.raises(ServiceUnavailable) as err:
                 client.synthesize("ar-simple", rate=3, flow="simple",
                                   wait=False, timeout_ms=100)
@@ -352,6 +352,6 @@ class TestDrain:
 
         job = server.service.store.get(pending["job_id"])
         assert job is not None and job.status == "ok"
-        assert server.service.metrics.count("completed") == 1
+        assert server.service.metrics.counters["completed"] == 1
         with pytest.raises((OSError, ServiceError)):
             client.health()
