@@ -20,6 +20,13 @@ once — fleet-wide:
 * :mod:`repro.cluster.supervisor` — ``repro cluster --shards N``:
   spawn cache server + shards + front as one supervised tree with a
   graceful SIGTERM drain.
+
+The front and the cache server have no server module of their own:
+both are tiers of the service's listener (:mod:`repro.service.server`),
+so ``repro serve``, ``repro cluster`` and ``repro cache-server`` share
+one connection loop per protocol, one thread harness
+(:class:`ThreadedFrontTier`, :class:`ThreadedCacheServer`) and one
+signal-drain runner.
 """
 
 from repro.cluster.cache_client import (CacheClient, CacheClientError,
@@ -29,11 +36,11 @@ from repro.cluster.cache_server import (CacheServer,
                                         ThreadedCacheServer,
                                         serve_cache)
 from repro.cluster.front import (ClusterConfig, FrontTier,
-                                 ShardAddress, ShardState)
+                                 ShardAddress, ShardState,
+                                 ThreadedFrontTier)
 from repro.cluster.protocol import (CACHE_PROTOCOL, ProtocolError,
                                     recv_frame, send_frame)
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing, ring_position
-from repro.cluster.server import FrontServer, ThreadedFrontTier
 from repro.cluster.supervisor import free_port, serve_cluster
 
 __all__ = [
@@ -43,7 +50,6 @@ __all__ = [
     "CacheServer",
     "ClusterConfig",
     "DEFAULT_REPLICAS",
-    "FrontServer",
     "FrontTier",
     "HashRing",
     "ProtocolError",

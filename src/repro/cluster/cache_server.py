@@ -1,8 +1,12 @@
 """Shared result-cache server: one ResultCache, many shards.
 
-A small asyncio TCP server speaking the length-prefixed JSON protocol
-of :mod:`repro.cluster.protocol` over one
-:class:`repro.explore.cache.ResultCache`.  Every solver shard mounts
+A tier of the one listener (:mod:`repro.service.server`) that speaks
+the length-prefixed JSON protocol of :mod:`repro.cluster.protocol`, not
+HTTP, over one :class:`repro.explore.cache.ResultCache`: it plugs its
+framed connection loop, :meth:`CacheServer.serve_connection`, into the
+listener that the service and the front share, and uses the same
+thread harness (:class:`ThreadedCacheServer`) and signal-drain runner
+(:func:`serve_cache`).  Every solver shard mounts
 it through :class:`repro.cluster.cache_client.ReadThroughCache`, so a
 point solved by any shard is a cache hit for the whole fleet — which
 is what lets the front tier route by content key without ever
@@ -26,17 +30,14 @@ noise of the solves whose results they store.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import signal
-import threading
 from typing import Any, Dict, Optional
 
-from repro.errors import ReproError
 from repro.explore.cache import ResultCache
 from repro.io_json import SCHEMA_VERSION
 from repro.cluster.protocol import (CACHE_PROTOCOL, ProtocolError,
                                     check_frame_version, read_frame,
                                     write_frame)
+from repro.service.server import ThreadedListener, run_until_signalled
 
 #: Server-side counters reported by the ``stats`` op.
 SERVER_COUNTERS = ("connections", "gets", "hits", "puts", "stored",
@@ -44,56 +45,35 @@ SERVER_COUNTERS = ("connections", "gets", "hits", "puts", "stored",
 
 
 class CacheServer:
-    """Async core: a ResultCache behind a framed-protocol listener."""
+    """A ResultCache behind the framed protocol, listening on
+    ``host``:``port`` (0 picks a free port)."""
 
     def __init__(self, cache: ResultCache, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.cache = cache
         self.host = host
-        self.config_port = port
-        self.port: Optional[int] = None
+        self.port = port
         self.counters: Dict[str, int] = {n: 0 for n in SERVER_COUNTERS}
-        self._server: Optional[asyncio.base_events.Server] = None
 
     # ------------------------------------------------------------------
-    async def start(self) -> "CacheServer":
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.config_port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
+    async def start(self) -> None:
+        """Nothing to warm: the index loaded with the ResultCache."""
 
-    async def shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def drain(self) -> None:
+        """Nothing to finish: every put is appended inside its request."""
 
-    # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
+    async def serve_connection(self, reader: asyncio.StreamReader,
+                               writer: asyncio.StreamWriter) -> None:
         self.counters["connections"] += 1
-        try:
-            while True:
-                try:
-                    request = await read_frame(reader)
-                except ProtocolError as exc:
-                    self.counters["errors"] += 1
-                    await write_frame(writer, self._error(str(exc)))
-                    break
-                if request is None:
-                    break
-                await write_frame(writer, self.dispatch(request))
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop shutdown while parked on a read from a persistent
-            # client connection; finish quietly so asyncio's
-            # connection_made callback has nothing to log.
-            pass
-        finally:
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                writer.close()
-                await writer.wait_closed()
+        while True:
+            try:
+                request = await read_frame(reader)
+            except ProtocolError as exc:
+                await write_frame(writer, self._error(str(exc)))
+                return
+            if request is None:
+                return
+            await write_frame(writer, self.dispatch(request))
 
     # ------------------------------------------------------------------
     def _ok(self, **fields: Any) -> Dict[str, Any]:
@@ -149,91 +129,29 @@ class CacheServer:
 def serve_cache(path: Optional[str], host: str = "127.0.0.1",
                 port: int = 8769, sync: bool = True) -> int:
     """Blocking entry point for ``repro cache-server``; 0 on drain."""
-
-    async def _main() -> None:
-        cache = ResultCache(path, sync=sync)
-        server = await CacheServer(cache, host, port).start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        print(f"repro cache server listening on {host}:{server.port} "
-              f"(path={path or 'memory'}, entries={len(cache)})",
-              flush=True)
-        await stop.wait()
-        await server.shutdown()
-        print(f"cache server drained cleanly: entries={len(cache)} "
-              f"gets={server.counters['gets']} "
-              f"hits={server.counters['hits']} "
-              f"stored={server.counters['stored']}", flush=True)
-
-    asyncio.run(_main())
+    server = CacheServer(ResultCache(path, sync=sync), host, port)
+    run_until_signalled(
+        lambda: server, server.host, server.port,
+        banner=lambda bound: (
+            f"repro cache server listening on {host}:{bound} "
+            f"(path={path or 'memory'}, entries={len(server.cache)})"),
+        drained=lambda tier: (
+            f"cache server drained cleanly: entries={len(tier.cache)} "
+            f"gets={tier.counters['gets']} "
+            f"hits={tier.counters['hits']} "
+            f"stored={tier.counters['stored']}"),
+        on_connect=CacheServer.serve_connection)
     return 0
 
 
 # ---------------------------------------------------------------------
-class ThreadedCacheServer:
+class ThreadedCacheServer(ThreadedListener):
     """Run a cache server in a daemon thread (tests and benchmarks)."""
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.cache = cache if cache is not None else ResultCache()
-        self.server = CacheServer(self.cache, host, port)
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
-
-    @property
-    def address(self) -> str:
-        return f"{self.server.host}:{self.port}"
-
-    def start(self) -> "ThreadedCacheServer":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-cache-server")
-        self._thread.start()
-        if not self._started.wait(timeout=30.0):
-            raise ReproError("cache server thread failed to start")
-        if self._error is not None:
-            raise ReproError(
-                f"cache server failed to start: {self._error}") \
-                from self._error
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        await self.server.start()
-        self._started.set()
-        await self._stop.wait()
-        await self.server.shutdown()
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if self._loop is not None and self._stop is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout_s)
-
-    def __enter__(self) -> "ThreadedCacheServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        server = CacheServer(self.cache, host, port)
+        super().__init__(lambda: server, server.host, server.port,
+                         "cache server",
+                         on_connect=CacheServer.serve_connection)

@@ -30,13 +30,16 @@ One front process owns the fleet's request routing:
 Shard-proxied job ids are rewritten to ``<shard>.<job id>`` so
 ``GET /v1/jobs/<id>`` on the front can route polls back to the shard
 that owns the job.
+
+:class:`FrontTier` is a tier of the listener the service uses
+(:mod:`repro.service.server`); :class:`ThreadedFrontTier` runs it
+in a daemon thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -44,13 +47,15 @@ from repro.errors import ReproError
 from repro.explore.pareto import OBJECTIVES, pareto_front
 from repro.explore.spec import SweepJob
 from repro.io_json import SCHEMA_VERSION, canonical_dumps
-from repro.obs import TRACER, extract_headers
+from repro.obs import TRACER
 from repro.obs.prometheus import render_cluster_metrics
 from repro.perf import PerfRegistry
 from repro.service import catalog
 from repro.service.app import (COMPLETED_STATUSES, Handled,
-                               job_response, wants_prometheus)
+                               _deadline_ms, _error, job_response,
+                               traced_submit, wants_prometheus)
 from repro.service.jobs import Job, JobStore
+from repro.service.server import ThreadedListener
 from repro.cluster.cache_client import ReadThroughCache
 from repro.cluster.http import request_json
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
@@ -134,15 +139,6 @@ class _Batch:
         self.deadline_ms = deadline_ms
         self.points: Dict[str, SweepJob] = {}
         self.futures: Dict[str, asyncio.Future] = {}
-
-
-def _error(status: int, message: str, **extra: Any) -> Handled:
-    payload: Dict[str, Any] = {"schema": "repro-service-error/1",
-                               "error": message}
-    payload.update(extra)
-    headers = ({"Retry-After": str(extra["retry_after_s"])}
-               if "retry_after_s" in extra else {})
-    return status, payload, headers
 
 
 # ---------------------------------------------------------------------
@@ -783,6 +779,18 @@ class FrontTier:
                      body: Optional[Dict[str, Any]],
                      headers: Optional[Dict[str, str]] = None,
                      query: str = "") -> Handled:
+        """Route one parsed request; a route that raises counts in
+        ``errors`` (the listener answers it with a 500)."""
+        try:
+            return await self._route(method, path, body, headers, query)
+        except Exception:
+            self.metrics.inc("errors")
+            raise
+
+    async def _route(self, method: str, path: str,
+                     body: Optional[Dict[str, Any]],
+                     headers: Optional[Dict[str, str]],
+                     query: str) -> Handled:
         if path == "/healthz":
             if method != "GET":
                 return _error(405, "method not allowed")
@@ -807,21 +815,9 @@ class FrontTier:
             if method != "POST":
                 return _error(405, "method not allowed")
             self.metrics.inc("requests")
-            request_id = uuid.uuid4().hex[:12]
-            # Adopt the caller's trace context (if any) so the whole
-            # cluster hop — front routing, shard admission, worker
-            # solve — lands on one connected trace.
-            with TRACER.attach(extract_headers(headers)), \
-                    TRACER.span("front.request", layer="front",
-                                endpoint=path) as sp:
-                sp.set(request_id=request_id)
-                status, payload, extra = await self._handle_submit(
-                    path, body, sp)
-            extra = dict(extra)
-            extra["X-Repro-Request-Id"] = request_id
-            if sp.sampled:
-                extra["X-Repro-Trace-Id"] = sp.trace_id
-            return status, payload, extra
+            return await traced_submit(
+                "front", path, headers,
+                lambda sp: self._handle_submit(path, body, sp))
         return _error(404, f"no such endpoint {path!r}")
 
     async def _handle_submit(self, path: str,
@@ -833,7 +829,8 @@ class FrontTier:
         if body is None:
             return _error(400, "request body must be a JSON object")
         try:
-            deadline_ms = self._deadline_ms(body)
+            deadline_ms = _deadline_ms(body,
+                                       self.config.default_timeout_ms)
             wait = bool(body.get("wait", True))
             if path == "/v1/synthesize":
                 _space, point = catalog.synthesize_job(body)
@@ -847,16 +844,6 @@ class FrontTier:
                 body, space.name, spec, points, wait, deadline_ms)
         except (ReproError, ValueError, TypeError) as exc:
             return _error(400, str(exc))
-
-    def _deadline_ms(self, body: Dict[str, Any]) -> Optional[float]:
-        raw = body.get("timeout_ms", self.config.default_timeout_ms)
-        if raw is None:
-            return None
-        deadline = float(raw)
-        if deadline <= 0:
-            raise ReproError(
-                f"timeout_ms must be positive, got {raw!r}")
-        return deadline
 
     async def _handle_job(self, job_id: str) -> Handled:
         shard_name, sep, shard_job = job_id.partition(".")
@@ -873,3 +860,16 @@ class FrontTier:
         if job is None:
             return _error(404, "no such job")
         return 200, job_response(job), {}
+
+
+# ---------------------------------------------------------------------
+class ThreadedFrontTier(ThreadedListener):
+    """Run a front tier in a daemon thread (tests and benchmarks)."""
+
+    def __init__(self, config: ClusterConfig) -> None:
+        super().__init__(lambda: FrontTier(config), config.host,
+                         config.port, "front tier")
+
+    @property
+    def front(self) -> FrontTier:
+        return self.tier

@@ -53,7 +53,8 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
 def decode_body(data: bytes) -> Dict[str, Any]:
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise ProtocolError(f"bad frame payload: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(

@@ -13,11 +13,12 @@ that amortizes warm state across requests:
   :class:`~repro.service.pool.WorkerPool`, and its own
   :class:`repro.perf.PerfRegistry` of counters, latency histograms and
   gauges (:mod:`repro.service.app`);
-* :func:`serve` / :class:`ServiceServer` / :class:`ThreadedServer` —
-  the asyncio HTTP front end (``POST /v1/synthesize``,
-  ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``GET /healthz``,
-  ``GET /metrics``) with graceful SIGTERM drain
-  (:mod:`repro.service.server`);
+* :func:`serve` / :class:`ThreadedServer` — the service behind the
+  one listener every tier shares (:mod:`repro.service.server`: one
+  HTTP loop, one thread harness, one signal-drain runner), answering
+  ``POST /v1/synthesize``, ``POST /v1/sweep``, ``GET /v1/jobs/<id>``,
+  ``GET /healthz`` and ``GET /metrics`` through
+  :meth:`SynthesisService.handle`, with graceful SIGTERM drain;
 * :class:`ServiceClient` — the stdlib client used by tests, CI smoke,
   and the benchmark (:mod:`repro.service.client`).
 
@@ -32,7 +33,7 @@ from repro.service.client import (ServiceClient, ServiceError,
 from repro.service.jobs import (Job, JobStore, ServiceConfig,
                                 ShardIdentity)
 from repro.service.pool import WorkerPool
-from repro.service.server import ServiceServer, ThreadedServer, serve
+from repro.service.server import ThreadedServer, serve
 
 __all__ = [
     "ServiceConfig",
@@ -43,7 +44,6 @@ __all__ = [
     "Job",
     "JobStore",
     "WorkerPool",
-    "ServiceServer",
     "ThreadedServer",
     "serve",
     "ServiceClient",

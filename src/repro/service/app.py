@@ -32,7 +32,8 @@ import asyncio
 import math
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Awaitable, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.oracle_store import OracleStore, activate
 from repro.errors import ReproError
@@ -290,7 +291,82 @@ class SynthesisService:
             "wall_ms": round(sum(p["wall_ms"] for p in points), 3),
         })
 
-    # -- shutdown ------------------------------------------------------
+    # -- lifecycle -----------------------------------------------------
+    async def start(self) -> None:
+        """Warm the pool; the listener runs this before it opens the
+        socket, so every fork happens while the process is quiet."""
+        self.pool.warmup()
+
+    async def handle(self, method: str, path: str,
+                     body: Optional[Dict[str, Any]],
+                     headers: Optional[Dict[str, str]] = None,
+                     query: str = "") -> Handled:
+        """Route one parsed request; returns (status, payload, headers).
+
+        ``headers`` are the lowercase request headers (used for trace
+        propagation and /metrics content negotiation); ``query`` is the
+        raw query string.
+        """
+        if path == "/healthz":
+            if method != "GET":
+                return _error(405, "method not allowed")
+            # Liveness is the TCP answer itself; the status code carries
+            # readiness, so one endpoint serves both probes.
+            if self.ready:
+                return 200, health_payload(self), {}
+            return 503, health_payload(self), {"Retry-After": "1"}
+        if path == "/metrics":
+            if method != "GET":
+                return _error(405, "method not allowed")
+            payload = metrics_payload(self)
+            if wants_prometheus(headers, query):
+                return 200, render_service_metrics(payload), {}
+            return 200, payload, {}
+        if path.startswith("/v1/jobs/"):
+            if method != "GET":
+                return _error(405, "method not allowed")
+            job = self.store.get(path[len("/v1/jobs/"):])
+            if job is None:
+                return _error(404, "no such job")
+            return 200, job_response(job), {}
+        if path in ("/v1/synthesize", "/v1/sweep"):
+            if method != "POST":
+                return _error(405, "method not allowed")
+            return await traced_submit(
+                "service", path, headers,
+                lambda sp: self._handle_submit(path, body, sp))
+        return _error(404, f"no such endpoint {path!r}")
+
+    async def _handle_submit(self, path: str,
+                             body: Optional[Dict[str, Any]],
+                             sp: Any) -> Handled:
+        """The /v1/synthesize | /v1/sweep body, inside the request
+        span."""
+        if self.draining:
+            return _error(503, "service is draining", retry_after_s=1)
+        if body is None:
+            return _error(400, "request body must be a JSON object")
+        try:
+            deadline_ms = _deadline_ms(body,
+                                       self.config.default_timeout_ms)
+            wait = bool(body.get("wait", True))
+            if path == "/v1/synthesize":
+                _space, point = catalog.synthesize_job(body)
+                job, how = self.submit_point(point, deadline_ms)
+                sp.set(how=how, design=body.get("design"))
+            else:
+                space, spec, points = catalog.sweep_jobs(body)
+                job = self.submit_sweep(spec, points, space.name,
+                                        deadline_ms)
+                sp.set(design=space.name, points=len(points))
+            sp.set(job_id=job.id)
+        except ShedRequest as exc:
+            sp.set(shed=True)
+            return _error(429, str(exc), retry_after_s=exc.retry_after_s)
+        except (ReproError, ValueError, TypeError) as exc:
+            return _error(400, str(exc))
+        return await _respond_job(job, wait, deadline_ms)
+
     async def drain(self) -> None:
         """Stop admitting, finish every in-flight job, stop the pool."""
         self.draining = True
@@ -411,20 +487,49 @@ def wants_prometheus(headers: Optional[Dict[str, str]],
 
 
 def _error(status: int, message: str, **extra: Any) -> Handled:
-    payload = {"schema": "repro-service-error/1", "error": message}
+    """An error answer; ``retry_after_s`` also sets ``Retry-After``."""
+    payload: Dict[str, Any] = {"schema": "repro-service-error/1",
+                               "error": message}
     payload.update(extra)
-    return status, payload, {}
+    headers = ({"Retry-After": str(extra["retry_after_s"])}
+               if "retry_after_s" in extra else {})
+    return status, payload, headers
 
 
 def _deadline_ms(body: Dict[str, Any],
-                 config: ServiceConfig) -> Optional[float]:
-    raw = body.get("timeout_ms", config.default_timeout_ms)
+                 default_ms: Optional[float]) -> Optional[float]:
+    raw = body.get("timeout_ms", default_ms)
     if raw is None:
         return None
     deadline = float(raw)
     if deadline <= 0:
         raise ReproError(f"timeout_ms must be positive, got {raw!r}")
     return deadline
+
+
+async def traced_submit(layer: str, path: str,
+                        headers: Optional[Dict[str, str]],
+                        submit: Callable[[Any], Awaitable[Handled]]
+                        ) -> Handled:
+    """Run ``submit(span)`` inside the ``<layer>.request`` span.
+
+    Every submission gets a request id; sampled requests also carry
+    their trace id back, so client-side failures are correlatable with
+    server logs and trace exports.  The caller's trace context (if
+    any) is adopted, so a front hop, the shard's admission and the
+    worker's solve land on one connected trace.
+    """
+    request_id = uuid.uuid4().hex[:12]
+    with TRACER.attach(extract_headers(headers)), \
+            TRACER.span(f"{layer}.request", layer=layer,
+                        endpoint=path) as sp:
+        sp.set(request_id=request_id)
+        status, payload, extra = await submit(sp)
+    extra = dict(extra)
+    extra["X-Repro-Request-Id"] = request_id
+    if sp.sampled:
+        extra["X-Repro-Trace-Id"] = sp.trace_id
+    return status, payload, extra
 
 
 async def _respond_job(job: Job, wait: bool,
@@ -437,91 +542,3 @@ async def _respond_job(job: Job, wait: bool,
         await job.wait(limit_s)
     status = 200 if job.done else 202
     return status, job_response(job), {}
-
-
-async def handle_api(service: SynthesisService, method: str, path: str,
-                     body: Optional[Dict[str, Any]],
-                     headers: Optional[Dict[str, str]] = None,
-                     query: str = "") -> Handled:
-    """Route one parsed request; returns (status, payload, headers).
-
-    ``headers`` are the lowercase request headers (used for trace
-    propagation and /metrics content negotiation); ``query`` is the
-    raw query string.  Both default to empty for callers that predate
-    them.
-    """
-    if path == "/healthz":
-        if method != "GET":
-            return _error(405, "method not allowed")
-        # Liveness is the TCP answer itself; the status code carries
-        # readiness, so one endpoint serves both probes.
-        if service.ready:
-            return 200, health_payload(service), {}
-        return 503, health_payload(service), {"Retry-After": "1"}
-    if path == "/metrics":
-        if method != "GET":
-            return _error(405, "method not allowed")
-        payload = metrics_payload(service)
-        if wants_prometheus(headers, query):
-            return 200, render_service_metrics(payload), {}
-        return 200, payload, {}
-    if path.startswith("/v1/jobs/"):
-        if method != "GET":
-            return _error(405, "method not allowed")
-        job = service.store.get(path[len("/v1/jobs/"):])
-        if job is None:
-            return _error(404, "no such job")
-        return 200, job_response(job), {}
-    if path in ("/v1/synthesize", "/v1/sweep"):
-        if method != "POST":
-            return _error(405, "method not allowed")
-        # Every submission gets a request id; sampled requests also
-        # carry their trace id back, so client-side failures are
-        # correlatable with server logs and trace exports.
-        request_id = uuid.uuid4().hex[:12]
-        with TRACER.attach(extract_headers(headers)), \
-                TRACER.span("service.request", layer="service",
-                            endpoint=path) as sp:
-            sp.set(request_id=request_id)
-            status, payload, extra = await _handle_submit(
-                service, path, body, sp)
-        extra = dict(extra)
-        extra["X-Repro-Request-Id"] = request_id
-        if sp.sampled:
-            extra["X-Repro-Trace-Id"] = sp.trace_id
-        return status, payload, extra
-    return _error(404, f"no such endpoint {path!r}")
-
-
-async def _handle_submit(service: SynthesisService, path: str,
-                         body: Optional[Dict[str, Any]],
-                         sp) -> Handled:
-    """The /v1/synthesize | /v1/sweep body, inside the request span."""
-    if service.draining:
-        status, payload, _ = _error(503, "service is draining",
-                                    retry_after_s=1)
-        return status, payload, {"Retry-After": "1"}
-    if body is None:
-        return _error(400, "request body must be a JSON object")
-    try:
-        deadline_ms = _deadline_ms(body, service.config)
-        wait = bool(body.get("wait", True))
-        if path == "/v1/synthesize":
-            _space, point = catalog.synthesize_job(body)
-            job, how = service.submit_point(point, deadline_ms)
-            sp.set(how=how, design=body.get("design"))
-        else:
-            space, spec, points = catalog.sweep_jobs(body)
-            job = service.submit_sweep(spec, points, space.name,
-                                       deadline_ms)
-            sp.set(design=space.name, points=len(points))
-        sp.set(job_id=job.id)
-    except ShedRequest as exc:
-        sp.set(shed=True)
-        status, payload, _ = _error(
-            429, str(exc), retry_after_s=exc.retry_after_s)
-        return status, payload, {"Retry-After":
-                                 str(exc.retry_after_s)}
-    except (ReproError, ValueError, TypeError) as exc:
-        return _error(400, str(exc))
-    return await _respond_job(job, wait, deadline_ms)

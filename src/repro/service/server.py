@@ -1,18 +1,32 @@
-"""Asyncio HTTP/1.1 front end for the synthesis service.
+"""One listener for every serving tier.
 
-Stdlib-only: a small hand-rolled HTTP layer over ``asyncio`` streams
-(request line + headers + ``Content-Length`` body; keep-alive until
-the client closes or says ``Connection: close``), dispatching into
-:func:`repro.service.app.handle_api`.  Three entry points share it:
+``repro serve`` (the synthesis service), ``repro cluster`` (the front
+tier) and ``repro cache-server`` all reach the network through this
+module.  A *tier* is an object that supplies:
 
-* :func:`serve` — the blocking ``repro serve`` CLI path, with
-  SIGTERM/SIGINT wired to a graceful drain (stop accepting, finish
-  every in-flight job, shut the warm pool down, exit 0);
-* :class:`ServiceServer` — the async core (start / shutdown) for
-  embedding in an existing loop;
-* :class:`ThreadedServer` — a background-thread harness used by the
-  test suite and the service benchmark (context manager; ``port=0``
-  picks a free port, readable as ``.port`` once started).
+* ``start()`` — a coroutine run before the socket opens (the service
+  warms its pool, the front probes its shards);
+* ``handle(method, path, body, headers=, query=)`` — one parsed HTTP
+  request in, ``(status, payload, extra headers)`` out; or, for a tier
+  that does not speak HTTP, its own connection callback
+  ``on_connect(tier, reader, writer)``;
+* ``drain()`` — a coroutine run after the socket closes (finish
+  in-flight work, release what ``start`` took).
+
+On it sit:
+
+* :func:`serve_http` — the one stdlib HTTP/1.1 keep-alive loop
+  (request line + headers + ``Content-Length`` body, until the client
+  closes or says ``Connection: close``);
+* :func:`listening` — start the tier, open the socket, and on exit
+  close the socket, then drain the tier;
+* :class:`ThreadedListener` — the daemon-thread harness behind
+  :class:`ThreadedServer`, ``ThreadedFrontTier`` and
+  ``ThreadedCacheServer`` (tests, benchmarks, the fault campaign;
+  ``port=0`` picks a free port, readable as ``.port`` once started);
+* :func:`run_until_signalled` — the blocking path behind
+  :func:`serve`, ``serve_cluster`` and ``serve_cache``: serve until
+  SIGTERM/SIGINT, then drain and print the tier's drain line.
 """
 
 from __future__ import annotations
@@ -22,13 +36,17 @@ import contextlib
 import json
 import signal
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import (Any, AsyncIterator, Awaitable, Callable, Dict,
+                    Optional, Tuple)
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
 from repro.obs.prometheus import CONTENT_TYPE as PROM_CONTENT_TYPE
-from repro.service.app import SynthesisService, handle_api
+from repro.service.app import SynthesisService
 from repro.service.jobs import ServiceConfig
+
+#: How long a harness waits for its tier to come up, and to drain.
+HARNESS_TIMEOUT_S = 60.0
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -36,6 +54,10 @@ _REASONS = {
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: ``on_connect(tier, reader, writer)``: one connection's whole life.
+ConnectionLoop = Callable[[Any, asyncio.StreamReader,
+                           asyncio.StreamWriter], Awaitable[None]]
 
 
 class _HttpError(Exception):
@@ -45,14 +67,18 @@ class _HttpError(Exception):
 
 
 # ---------------------------------------------------------------------
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        raise _HttpError(400, f"{what} too long") from None
+
+
 async def _read_request(reader: asyncio.StreamReader, max_body: int
                         ) -> Optional[Tuple[str, str, Dict[str, str],
                                             bytes]]:
     """Parse one request; None on a cleanly closed connection."""
-    try:
-        line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError):
-        raise _HttpError(400, "request line too long") from None
+    line = await _read_line(reader, "request line")
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -61,7 +87,7 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int
     method, target = parts[0].upper(), parts[1]
     headers: Dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        raw = await _read_line(reader, "header line")
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
@@ -78,6 +104,17 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int
         raise _HttpError(413, f"body exceeds {max_body} bytes")
     body = await reader.readexactly(length) if length > 0 else b""
     return method, target, headers, body
+
+
+def _json_object(body: bytes) -> Optional[Dict[str, Any]]:
+    """The body as a JSON object; None for anything else (no body,
+    bytes that are not UTF-8, nesting too deep for the parser), which
+    the tier answers with a 400 where it needs a body."""
+    try:
+        parsed = json.loads(body)
+    except (ValueError, RecursionError):
+        return None
+    return parsed if isinstance(parsed, dict) else None
 
 
 async def _write_response(writer: asyncio.StreamWriter, status: int,
@@ -104,53 +141,51 @@ async def _write_response(writer: asyncio.StreamWriter, status: int,
     await writer.drain()
 
 
-async def _handle_connection(service: SynthesisService,
-                             reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+async def serve_http(tier: Any, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+    """One keep-alive HTTP/1.1 connection into ``tier.handle``."""
+    while True:
+        try:
+            request = await _read_request(reader,
+                                          tier.config.max_body_bytes)
+        except _HttpError as exc:
+            await _write_response(
+                writer, exc.status,
+                {"schema": "repro-service-error/1",
+                 "error": str(exc)}, {}, keep_alive=False)
+            return
+        if request is None:
+            return
+        method, target, headers, body = request
+        keep_alive = headers.get(
+            "connection", "keep-alive").lower() != "close"
+        parts = urlsplit(target)
+        try:
+            status, payload, extra = await tier.handle(
+                method, parts.path, _json_object(body), headers=headers,
+                query=parts.query)
+        except Exception as exc:  # keep the listener alive
+            status, payload, extra = 500, {
+                "schema": "repro-service-error/1",
+                "error": f"{type(exc).__name__}: {exc}"}, {}
+        await _write_response(writer, status, payload, extra,
+                              keep_alive)
+        if not keep_alive:
+            return
+
+
+async def _connection(on_connect: ConnectionLoop, tier: Any,
+                      reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
     try:
-        while True:
-            try:
-                request = await _read_request(
-                    reader, service.config.max_body_bytes)
-            except _HttpError as exc:
-                await _write_response(
-                    writer, exc.status,
-                    {"schema": "repro-service-error/1",
-                     "error": str(exc)}, {}, keep_alive=False)
-                break
-            if request is None:
-                break
-            method, target, headers, body_bytes = request
-            keep_alive = headers.get(
-                "connection", "keep-alive").lower() != "close"
-            parts = urlsplit(target)
-            path, query = parts.path, parts.query
-            body: Optional[Dict[str, Any]] = None
-            if body_bytes:
-                try:
-                    parsed = json.loads(body_bytes)
-                    body = parsed if isinstance(parsed, dict) else None
-                except json.JSONDecodeError:
-                    body = None
-            try:
-                status, payload, extra = await handle_api(
-                    service, method, path, body,
-                    headers=headers, query=query)
-            except Exception as exc:  # keep the server alive
-                status, payload, extra = 500, {
-                    "schema": "repro-service-error/1",
-                    "error": f"{type(exc).__name__}: {exc}"}, {}
-            await _write_response(writer, status, payload, extra,
-                                  keep_alive)
-            if not keep_alive:
-                break
+        await on_connect(tier, reader, writer)
     except (ConnectionResetError, BrokenPipeError,
             asyncio.IncompleteReadError):
         pass
     except asyncio.CancelledError:
         # Loop shutdown while parked on a keep-alive read.  Swallowing
         # the cancellation lets the task finish cleanly, so asyncio's
-        # connection_made callback has no exception to log.
+        # client_connected_cb callback has no exception to log.
         pass
     finally:
         with contextlib.suppress(Exception, asyncio.CancelledError):
@@ -158,71 +193,80 @@ async def _handle_connection(service: SynthesisService,
             await writer.wait_closed()
 
 
-# ---------------------------------------------------------------------
-class ServiceServer:
-    """Async core: a warm service plus a listening socket."""
+@contextlib.asynccontextmanager
+async def listening(tier: Any, host: str, port: int,
+                    on_connect: ConnectionLoop = serve_http
+                    ) -> AsyncIterator[int]:
+    """Serve ``tier`` for the body of the block; yields the bound port.
 
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.service = SynthesisService(config)
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-
-    async def start(self) -> "ServiceServer":
-        # Warm the pool *before* accepting traffic: all forks happen
-        # while this process is still quiet (no threads mid-lock) and
-        # the first request pays no spin-up.
-        self.service.pool.warmup()
-        self._server = await asyncio.start_server(
-            lambda r, w: _handle_connection(self.service, r, w),
-            self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def shutdown(self) -> None:
-        """Graceful drain: close the socket, finish in-flight work."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await self.service.drain()
+    The tier starts *before* the socket opens, so the service's pool
+    forks while this process is still quiet (no threads mid-lock) and
+    the front's first ``/healthz`` already reflects a real shard probe.
+    On exit the socket closes first, then the tier drains; a socket
+    that fails to open drains the started tier too.
+    """
+    await tier.start()
+    try:
+        server = await asyncio.start_server(
+            lambda r, w: _connection(on_connect, tier, r, w), host, port)
+        try:
+            yield server.sockets[0].getsockname()[1]
+        finally:
+            server.close()
+            await server.wait_closed()
+    finally:
+        await tier.drain()
 
 
-def serve(config: ServiceConfig) -> int:
-    """Blocking entry point for ``repro serve``; 0 on clean drain."""
+def run_until_signalled(build: Callable[[], Any], host: str, port: int,
+                        banner: Callable[[int], str],
+                        drained: Callable[[Any], str],
+                        draining: Optional[str] = None,
+                        on_connect: ConnectionLoop = serve_http) -> None:
+    """Blocking: serve the tier ``build()`` makes until SIGTERM/SIGINT.
+
+    Prints ``banner(port)`` once listening, ``draining`` (if given)
+    when the signal lands, and ``drained(tier)`` after the drain.
+    """
 
     async def _main() -> None:
-        server = await ServiceServer(config).start()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-main thread or platform without signals
-        print(f"repro service listening on {config.host}:{server.port} "
-              f"(workers={config.workers}, mode={config.pool_mode}, "
-              f"max_queue={config.max_queue}, "
-              f"cache={config.cache_path or 'memory'})", flush=True)
-        await stop.wait()
-        print("draining: finishing in-flight jobs ...", flush=True)
-        await server.shutdown()
-        counters = server.service.metrics.snapshot()["counters"]
-        print(f"drained cleanly: accepted={counters['accepted']} "
-              f"coalesced={counters['coalesced']} "
-              f"shed={counters['shed']} "
-              f"completed={counters['completed']}", flush=True)
+        tier = build()
+        async with listening(tier, host, port, on_connect) as bound:
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, stop.set)
+                except (NotImplementedError, RuntimeError):
+                    pass  # non-main thread or platform without signals
+            print(banner(bound), flush=True)
+            await stop.wait()
+            if draining is not None:
+                print(draining, flush=True)
+        print(drained(tier), flush=True)
 
     asyncio.run(_main())
-    return 0
 
 
 # ---------------------------------------------------------------------
-class ThreadedServer:
-    """Run a service in a daemon thread (tests and benchmarks)."""
+class ThreadedListener:
+    """Serve one tier from a daemon thread on its own event loop.
 
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.server: Optional[ServiceServer] = None
+    ``build`` runs on that loop, so the tier's loop-bound state
+    belongs to it.  ``start`` returns once the socket is open;
+    ``stop`` drains the tier and joins the thread.
+    """
+
+    def __init__(self, build: Callable[[], Any], host: str, port: int,
+                 label: str,
+                 on_connect: ConnectionLoop = serve_http) -> None:
+        self.host = host
+        self.port: Optional[int] = None
+        self.tier: Any = None
+        self._build = build
+        self._bind_port = port
+        self._label = label
+        self._on_connect = on_connect
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._error: Optional[BaseException] = None
@@ -230,25 +274,19 @@ class ThreadedServer:
         self._stop: Optional[asyncio.Event] = None
 
     @property
-    def service(self) -> SynthesisService:
-        assert self.server is not None
-        return self.server.service
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
 
-    @property
-    def port(self) -> int:
-        assert self.server is not None and self.server.port is not None
-        return self.server.port
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ThreadedServer":
+    def start(self) -> "ThreadedListener":
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-service")
+                                        name=f"repro {self._label}")
         self._thread.start()
-        if not self._started.wait(timeout=60.0):
-            raise ReproError("service thread failed to start in time")
+        if not self._started.wait(timeout=HARNESS_TIMEOUT_S):
+            raise ReproError(f"{self._label} thread failed to start "
+                             "in time")
         if self._error is not None:
             raise ReproError(
-                f"service failed to start: {self._error}") \
+                f"{self._label} failed to start: {self._error}") \
                 from self._error
         return self
 
@@ -263,12 +301,14 @@ class ThreadedServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self.server = await ServiceServer(self.config).start()
-        self._started.set()
-        await self._stop.wait()
-        await self.server.shutdown()
+        self.tier = self._build()
+        async with listening(self.tier, self.host, self._bind_port,
+                             self._on_connect) as port:
+            self.port = port
+            self._started.set()
+            await self._stop.wait()
 
-    def stop(self, timeout_s: float = 60.0) -> None:
+    def stop(self, timeout_s: float = HARNESS_TIMEOUT_S) -> None:
         """Request a graceful drain and join the thread."""
         if self._loop is not None and self._stop is not None:
             with contextlib.suppress(RuntimeError):
@@ -276,8 +316,43 @@ class ThreadedServer:
         if self._thread is not None:
             self._thread.join(timeout_s)
 
-    def __enter__(self) -> "ThreadedServer":
+    def __enter__(self) -> "ThreadedListener":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+# ---------------------------------------------------------------------
+class ThreadedServer(ThreadedListener):
+    """Run a service in a daemon thread (tests and benchmarks)."""
+
+    def __init__(self, config: ServiceConfig) -> None:
+        super().__init__(lambda: SynthesisService(config), config.host,
+                         config.port, "service")
+
+    @property
+    def service(self) -> SynthesisService:
+        return self.tier
+
+
+def serve(config: ServiceConfig) -> int:
+    """Blocking entry point for ``repro serve``; 0 on clean drain."""
+
+    def drained(service: SynthesisService) -> str:
+        counters = service.metrics.snapshot()["counters"]
+        return (f"drained cleanly: accepted={counters['accepted']} "
+                f"coalesced={counters['coalesced']} "
+                f"shed={counters['shed']} "
+                f"completed={counters['completed']}")
+
+    run_until_signalled(
+        lambda: SynthesisService(config), config.host, config.port,
+        banner=lambda port: (
+            f"repro service listening on {config.host}:{port} "
+            f"(workers={config.workers}, mode={config.pool_mode}, "
+            f"max_queue={config.max_queue}, "
+            f"cache={config.cache_path or 'memory'})"),
+        draining="draining: finishing in-flight jobs ...",
+        drained=drained)
+    return 0

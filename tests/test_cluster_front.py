@@ -82,7 +82,7 @@ class Cluster:
                          for i, s in enumerate(self.shards)),
             port=0, cache_address=self.cache.address,
             batch_window_ms=self.batch_window_ms,
-            probe_interval_s=0.2, **self.front_overrides)
+            **{"probe_interval_s": 0.2, **self.front_overrides})
         self.front = ThreadedFrontTier(config).start()
         return self
 
@@ -272,7 +272,9 @@ class TestSweepSplit:
 class TestFailover:
     def test_drained_shard_fails_over_without_lost_requests(self):
         runner = CountingRunner()
-        with Cluster(runner=runner) as cluster:
+        # A prober that never fires: only a request routed to the
+        # stopped shard can mark it down, so the failover is counted.
+        with Cluster(runner=runner, probe_interval_s=3600.0) as cluster:
             client = cluster.client()
             # Stop shard-0 (graceful drain); every key it owned must
             # be re-routed to shard-1 with zero caller-visible errors.
