@@ -128,11 +128,6 @@ def metrics_service(doc: Dict[str, Any]) -> List[Metric]:
         # treat as a rate (skipped under --skip-wall).
         out.append(Metric("cluster.scaling_speedup", "rate",
                           cluster["speedup"]))
-    ratio = cluster.get("batching", {}).get("ratio")
-    if ratio is not None:
-        # Deterministic for a fixed workload: content-derived keys
-        # make the per-owner batch grouping reproducible.
-        out.append(Metric("cluster.batching.ratio", "speedup", ratio))
     return out
 
 

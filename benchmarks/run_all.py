@@ -11,8 +11,8 @@ warm (second identical run), recording points/sec and the cache hit
 rate, then a synthesis-service storm (concurrent clients, repeated
 design points) against a live ``repro serve`` instance, recording the
 throughput gain coalescing buys over sequential ``synthesize()``
-calls, then the cluster tier (shard-count scaling, batched
-admission, rolling drain) against in-process fleets.  The JSON lands
+calls, then the cluster tier (shard-count scaling, rolling drain)
+against in-process fleets.  The JSON lands
 at the repo root by default so successive PRs accumulate a perf
 trajectory that CI can archive.
 
@@ -497,7 +497,7 @@ class _SleepSolve:
     CPU, not the cluster.  The sleep length is recorded in the output
     (``synthetic_solve_ms``) so nobody mistakes the req/s figures for
     solver throughput; what IS real is every other hop — HTTP framing,
-    ring routing, batching, coalescing, and the shared-cache frames.
+    ring routing, coalescing, and the shared-cache frames.
     """
 
     def __init__(self, solve_s: float) -> None:
@@ -524,7 +524,7 @@ class _SleepSolve:
 
 
 def bench_cluster(smoke: bool):
-    """Shard-count scaling, batched admission, and rolling drain.
+    """Shard-count scaling and rolling drain.
 
     Spins a complete in-process cluster per shard count — one shared
     cache server, N single-worker thread-pool shards mounting it
@@ -532,10 +532,9 @@ def bench_cluster(smoke: bool):
     mixed workload (20 distinct design points) from 16 client
     threads.  Fleet-wide coalescing means each distinct point solves
     exactly once no matter the shard count, so aggregate req/s scales
-    with how evenly the ring spreads the 20 keys.  Two more sections
-    exercise the admission batcher (distinct-rate requests folded into
-    per-owner sweeps) and a rolling drain (one shard stopped
-    mid-storm; the front's failover must lose zero requests).
+    with how evenly the ring spreads the 20 keys.  A second section
+    runs a rolling drain (one shard stopped mid-storm; the front's
+    failover must lose zero requests).
     """
     import threading
 
@@ -553,8 +552,7 @@ def bench_cluster(smoke: bool):
     client_threads = 16
     shard_counts = [1, 2] if smoke else [1, 2, 4]
 
-    def build(n_shards, runner, batch_window_ms=0.0,
-              probe_interval_s=0.5):
+    def build(n_shards, runner, probe_interval_s=0.5):
         cache = ThreadedCacheServer().start()
         shards = []
         for index in range(n_shards):
@@ -571,7 +569,6 @@ def bench_cluster(smoke: bool):
                                       s.port)
                          for i, s in enumerate(shards)),
             port=0, cache_address=cache.address,
-            batch_window_ms=batch_window_ms,
             probe_interval_s=probe_interval_s)).start()
         return cache, shards, front
 
@@ -644,48 +641,6 @@ def bench_cluster(smoke: bool):
     print(f"  cluster scaling {speedup}x "
           f"({peak_label} vs shards-{shard_counts[0]})")
 
-    # -- batched admission ---------------------------------------------
-    # One design, 8 distinct rates, all admitted inside one batching
-    # window (a barrier lines the clients up): the front folds them
-    # into one sweep per owner shard.  The keys are content-derived,
-    # so the per-owner grouping — and with it the batched/requests
-    # ratio — is deterministic for a fixed shard count.
-    runner = _SleepSolve(0.05)
-    cache, shards, front = build(2, runner, batch_window_ms=120.0)
-    try:
-        client = ServiceClient(port=front.port, timeout_s=120.0)
-        barrier = threading.Barrier(8)
-        outcomes = []
-        lock = threading.Lock()
-
-        def batched_call(rate):
-            barrier.wait()
-            response = client.synthesize("ar-general", rate=rate,
-                                         timeout_ms=60000)
-            with lock:
-                outcomes.append(response["status"])
-
-        callers = [threading.Thread(target=batched_call, args=(rate,))
-                   for rate in range(2, 10)]
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join()
-        counters = front.front.metrics.snapshot()["counters"]
-    finally:
-        teardown(cache, shards, front)
-    batching = {
-        "requests": len(callers),
-        "batched": counters.get("batched", 0),
-        "batch_windows": counters.get("batch_windows", 0),
-        "ratio": round(counters.get("batched", 0) / len(callers), 4),
-        "statuses": {s: outcomes.count(s) for s in set(outcomes)},
-    }
-    print(f"  cluster[batching]  batched={batching['batched']}"
-          f"/{batching['requests']}  "
-          f"windows={batching['batch_windows']}  "
-          f"ratio={batching['ratio']}")
-
     # -- rolling drain -------------------------------------------------
     # Stop one of two shards mid-storm.  The front's failover re-aims
     # that shard's keys at the survivor; with client retries as a
@@ -732,7 +687,6 @@ def bench_cluster(smoke: bool):
         },
         "scaling": scaling,
         "speedup": speedup,
-        "batching": batching,
         "rolling_drain": drain,
     }
 
@@ -854,7 +808,7 @@ def main(argv=None) -> int:
             "service": bench_service(args.smoke, args.service_workers),
         }
         print("running cluster benchmark "
-              "(shard scaling + batching + drain) ...")
+              "(shard scaling + drain) ...")
         service_doc["cluster"] = bench_cluster(args.smoke)
         with open(args.service_out, "w", encoding="utf-8") as fh:
             json.dump(service_doc, fh, indent=2, sort_keys=True)

@@ -102,8 +102,8 @@ class CampaignCase:
         """Sweep params for request ``index`` of the storm.
 
         The first half of the storm repeats the same rate — exercising
-        in-flight coalescing and the batch window — while the rest
-        fans out over neighboring rates.
+        in-flight coalescing on the owner shard — while the rest fans
+        out over neighboring rates.
         """
         rates = _DESIGN_RATES.get(self.design, _DESIGN_RATES["random"])
         if index < (self.requests + 1) // 2:
@@ -241,7 +241,7 @@ class CampaignHarness:
                     ShardAddress(f"shard-{i}", self.host, s.port)
                     for i, s in enumerate(self.shards)),
                 port=0, cache_address=self.cache.address,
-                batch_window_ms=10.0, probe_interval_s=0.2)
+                probe_interval_s=0.2)
             self.front = ThreadedFrontTier(config).start()
         return self
 

@@ -18,8 +18,9 @@ Commands
                 cluster ring);
 ``cluster``     supervise a local multi-shard cluster: a shared
                 result-cache server, N ring-sharded ``serve``
-                processes, and a routing front tier with batched
-                admission and fleet-wide exactly-once coalescing;
+                processes, and a routing front tier that sends each
+                request to its owner shard (fleet-wide exactly-once
+                coalescing);
 ``cache-server``run the cluster's shared result-cache server
                 standalone;
 ``trace``       replay a distributed-trace JSONL export (written by
@@ -386,8 +387,7 @@ def cmd_cluster(args) -> int:
                          max_queue=args.max_queue, pool=args.pool,
                          timeout_ms=args.timeout_ms,
                          cache_path=args.cache,
-                         oracle_path=args.oracle_cache,
-                         batch_window_ms=args.batch_window_ms)
+                         oracle_path=args.oracle_cache)
 
 
 def cmd_check(args) -> int:
@@ -800,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="run a supervised local cluster: shared cache server, N "
              "ring-sharded `serve` processes, and a routing front "
-             "tier with batched admission")
+             "tier that sends each request to its owner shard")
     p_clu.add_argument("--shards", type=int, default=2,
                        help="solver shard count (default: 2)")
     p_clu.add_argument("--host", default="127.0.0.1",
@@ -828,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--oracle-cache", default=None,
                        help="per-shard pin-oracle JSONL path prefix "
                             "(each shard appends .<name>)")
-    p_clu.add_argument("--batch-window-ms", type=float, default=10.0,
-                       help="same-design requests arriving within "
-                            "this window fold into one sweep per "
-                            "owner shard; 0 disables (default: 10)")
     _add_obs_options(p_clu)
     p_clu.set_defaults(func=cmd_cluster)
 

@@ -13,10 +13,10 @@ once — fleet-wide:
   protocol over the JSONL :class:`~repro.explore.cache.ResultCache`,
   plus the ``remote://host:port`` read-through layer every shard (and
   the front) mounts, so one shard's solve is every shard's cache hit.
-* :mod:`repro.cluster.front` — the routing front tier: ring routing
-  with drain/death failover, batched admission (same-design requests
-  in a short window fold into one sweep per owner shard), and fleet
-  metrics aggregation.
+* :mod:`repro.cluster.front` — the routing front tier: each
+  synthesize request goes straight to its owner shard (after a peek
+  at the shared cache), sweeps split by owner, drain/death failover,
+  and fleet metrics aggregation.
 * :mod:`repro.cluster.supervisor` — ``repro cluster --shards N``:
   spawn cache server + shards + front as one supervised tree with a
   graceful SIGTERM drain.

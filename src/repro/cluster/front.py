@@ -1,14 +1,15 @@
-"""The cluster front tier: ring-routed proxy with batched admission.
+"""The cluster front tier: a ring-routed proxy.
 
 One front process owns the fleet's request routing:
 
 * **ring routing** — every ``/v1/synthesize`` request and every sweep
   point is materialized through :mod:`repro.service.catalog` into a
   content-addressed :class:`~repro.explore.spec.SweepJob`, and its key
-  is routed to the owner shard on the :class:`HashRing`.  Each shard's
-  in-process coalescing therefore composes to *fleet-wide* exactly-once
-  solving: two identical requests always land on the same shard, which
-  runs the solve once.
+  is routed to the owner shard on the :class:`HashRing`.  A synthesize
+  request peeks at the shared cache, then goes straight to its owner
+  as its own request.  Each shard's in-process coalescing therefore
+  composes to *fleet-wide* exactly-once solving: two identical
+  requests always land on the same shard, which runs the solve once.
 * **failover** — a dead or draining owner is marked down and the key
   re-routed on the reduced ring (only the down shard's keys move).
   Re-sending after a connection drop is safe because jobs are
@@ -17,12 +18,6 @@ One front process owns the fleet's request routing:
   owner shed deliberately — but are relayed with the ``Retry-After``
   header plus a ``redirect`` hint naming the owner, which
   :class:`repro.service.ServiceClient` retries honor.
-* **batched admission** — synthesize requests for the same design
-  arriving within ``batch_window_ms`` are folded into one ``/v1/sweep``
-  per owner shard (one admission, one deadline carve, one warm-start
-  chain) instead of N independent jobs; each caller is answered from
-  its sweep point's child job.  Identical keys inside a window collapse
-  to one future before any shard sees them (``front_coalesced``).
 * **observability** — ``/metrics`` aggregates per-shard counters with
   the front's own, and ``/cluster/ring`` reports ring shares and
   shard health.
@@ -40,20 +35,21 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.explore.pareto import OBJECTIVES, pareto_front
+from repro.explore.pareto import sweep_summary
 from repro.explore.spec import SweepJob
-from repro.io_json import SCHEMA_VERSION, canonical_dumps
+from repro.io_json import SCHEMA_VERSION
 from repro.obs import TRACER
 from repro.obs.prometheus import render_cluster_metrics
 from repro.perf import PerfRegistry
 from repro.service import catalog
-from repro.service.app import (COMPLETED_STATUSES, Handled,
-                               _deadline_ms, _error, job_response,
-                               traced_submit, wants_prometheus)
+from repro.service.app import (Handled, _deadline_ms, _error,
+                               _respond_job, _wait_limit_s,
+                               job_response, traced_submit,
+                               wants_prometheus)
 from repro.service.jobs import Job, JobStore
 from repro.service.server import ThreadedListener
 from repro.cluster.cache_client import ReadThroughCache
@@ -64,9 +60,6 @@ from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
 FRONT_COUNTERS = (
     "requests",          # /v1/* requests received
     "proxied",           # forwarded to a shard (non-error answer)
-    "batched",           # callers answered via a folded sweep
-    "batch_windows",     # batching windows opened
-    "front_coalesced",   # identical keys collapsed inside a window
     "front_cache_hits",  # answered from the shared cache at tier 0
     "failovers",         # re-routes after a dead/draining owner
     "shard_errors",      # shard connections that failed outright
@@ -97,10 +90,6 @@ class ClusterConfig:
     #: ``host:port`` of the shared cache server; None disables the
     #: front's own read-through tier (shards still share the cache).
     cache_address: Optional[str] = None
-    #: Same-design synthesize requests arriving within this window are
-    #: folded into one sweep per owner shard; 0 disables batching.
-    batch_window_ms: float = 10.0
-    batch_limit: int = 32
     default_timeout_ms: float = 30000.0
     proxy_timeout_s: float = 300.0
     probe_interval_s: float = 2.0
@@ -128,22 +117,9 @@ class ShardState:
                 "last_error": self.last_error}
 
 
-class _Batch:
-    """One open batching window for a (design, deadline) group."""
-
-    __slots__ = ("body", "deadline_ms", "points", "futures")
-
-    def __init__(self, body: Dict[str, Any],
-                 deadline_ms: Optional[float]) -> None:
-        self.body = body
-        self.deadline_ms = deadline_ms
-        self.points: Dict[str, SweepJob] = {}
-        self.futures: Dict[str, asyncio.Future] = {}
-
-
 # ---------------------------------------------------------------------
 class FrontTier:
-    """Routing, batching, and aggregation state for one cluster."""
+    """Routing and aggregation state for one cluster."""
 
     def __init__(self, config: ClusterConfig) -> None:
         if not config.shards:
@@ -160,7 +136,6 @@ class FrontTier:
         self.cache = (ReadThroughCache(config.cache_address)
                       if config.cache_address else None)
         self.store = JobStore(config.retained_jobs)
-        self.batches: Dict[str, _Batch] = {}
         self.draining = False
         self._ring_cache: Dict[frozenset, HashRing] = {}
         self._tasks: set = set()
@@ -173,12 +148,10 @@ class FrontTier:
             self._probe_loop())
 
     async def drain(self) -> None:
-        """Stop admitting, flush open windows, finish in-flight work."""
+        """Stop admitting, finish in-flight work."""
         self.draining = True
         if self._prober is not None:
             self._prober.cancel()
-        for group_key in list(self.batches):
-            self._flush_now(group_key)
         while self._tasks:
             await asyncio.gather(*list(self._tasks),
                                  return_exceptions=True)
@@ -256,11 +229,12 @@ class FrontTier:
                 f"{state.address.port} unreachable: {exc}") from None
 
     def _proxy_timeout_s(self, deadline_ms: Optional[float]) -> float:
-        if deadline_ms is None:
+        limit_s = _wait_limit_s(deadline_ms)
+        if limit_s is None:
             return self.config.proxy_timeout_s
-        # The shard itself waits up to 2*deadline + slack; give the
-        # proxy hop headroom beyond that so the shard times out first.
-        return (2.0 * deadline_ms + 2000.0) / 1000.0 + 30.0
+        # The shard itself holds a waiting caller up to that limit;
+        # give the proxy hop headroom so the shard times out first.
+        return limit_s + 30.0
 
     def _rewrite(self, payload: Dict[str, Any],
                  shard_name: str) -> Dict[str, Any]:
@@ -350,9 +324,9 @@ class FrontTier:
         return await asyncio.get_running_loop().run_in_executor(
             None, self.cache.get, key)
 
-    # -- batched admission ---------------------------------------------
+    # -- synthesize: cache peek, then the owner shard -----------------
     async def handle_synthesize(self, body: Dict[str, Any],
-                                point: SweepJob, wait: bool,
+                                point: SweepJob,
                                 deadline_ms: Optional[float]
                                 ) -> Handled:
         record = await self._cache_lookup(point.key)
@@ -363,174 +337,7 @@ class FrontTier:
             job.finish(record)
             self.store.add(job)
             return 200, job_response(job), {}
-        if wait and self.config.batch_window_ms > 0 \
-                and not self.draining:
-            return await self._admit_batched(body, point, deadline_ms)
         return await self.route_point(body, point, deadline_ms)
-
-    async def _admit_batched(self, body: Dict[str, Any],
-                             point: SweepJob,
-                             deadline_ms: Optional[float]) -> Handled:
-        loop = asyncio.get_running_loop()
-        group_key = canonical_dumps([body.get("design"), deadline_ms])
-        batch = self.batches.get(group_key)
-        if batch is None:
-            batch = _Batch(body, deadline_ms)
-            self.batches[group_key] = batch
-            self.metrics.inc("batch_windows")
-            self._spawn(self._window(group_key))
-        future = batch.futures.get(point.key)
-        if future is None:
-            future = loop.create_future()
-            batch.futures[point.key] = future
-            batch.points[point.key] = point
-            if len(batch.points) >= self.config.batch_limit:
-                self._flush_now(group_key)
-        else:
-            # Same content key inside the window: share the future —
-            # the shard never even sees a duplicate.
-            self.metrics.inc("front_coalesced")
-        return await future
-
-    async def _window(self, group_key: str) -> None:
-        await asyncio.sleep(self.config.batch_window_ms / 1000.0)
-        self._flush_now(group_key)
-
-    def _flush_now(self, group_key: str) -> None:
-        batch = self.batches.pop(group_key, None)
-        if batch is not None:
-            self._spawn(self._flush(batch))
-
-    async def _flush(self, batch: _Batch) -> None:
-        try:
-            groups: Dict[str, List[SweepJob]] = {}
-            for point in batch.points.values():
-                try:
-                    owner = self.live_ring().owner(point.key)
-                except ReproError:
-                    self._resolve(batch, point.key, _error(
-                        503, "every shard is down or draining",
-                        retry_after_s=1))
-                    continue
-                groups.setdefault(owner, []).append(point)
-            await asyncio.gather(*(
-                self._flush_group(batch, owner, points)
-                for owner, points in groups.items()))
-        except Exception as exc:  # never strand a caller
-            self.metrics.inc("errors")
-            for key in batch.points:
-                self._resolve(batch, key, _error(
-                    500, f"batch flush failed: {exc}"))
-
-    def _resolve(self, batch: _Batch, key: str,
-                 handled: Handled) -> None:
-        future = batch.futures.get(key)
-        if future is not None and not future.done():
-            future.set_result(handled)
-
-    def _point_body(self, batch: _Batch,
-                    point: SweepJob) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"design": batch.body["design"],
-                                "wait": True}
-        if "timeout_ms" in batch.body:
-            body["timeout_ms"] = batch.body["timeout_ms"]
-        body.update(point.params)
-        return body
-
-    async def _flush_group(self, batch: _Batch, owner: str,
-                           points: List[SweepJob]) -> None:
-        if len(points) == 1:
-            point = points[0]
-            self._resolve(batch, point.key, await self.route_point(
-                self._point_body(batch, point), point,
-                batch.deadline_ms))
-            return
-        # Fold the window's points for this owner into ONE sweep: one
-        # admission check, one deadline carve, one warm-start chain.
-        self.metrics.inc("batched", len(points))
-        state = self.shards[owner]
-        sweep_body: Dict[str, Any] = {
-            "design": batch.body["design"], "wait": True,
-            "points": [dict(p.params) for p in points]}
-        if "timeout_ms" in batch.body:
-            sweep_body["timeout_ms"] = batch.body["timeout_ms"]
-        try:
-            status, payload, _ = await self.call_shard(
-                state, "POST", "/v1/sweep", sweep_body,
-                self._proxy_timeout_s(batch.deadline_ms))
-            if status == 202 and payload.get("job_id"):
-                status, payload = await self._wait_shard_job(
-                    state, payload["job_id"], batch.deadline_ms)
-        except ShardDown:
-            self.metrics.inc("failovers")
-            await self._flush_fallback(batch, points)
-            return
-        sweep_points = payload.get("points")
-        if status != 200 or not isinstance(sweep_points, list):
-            # Shed, draining, or malformed: fall back to per-point
-            # routing, which shares the standard failover logic.
-            await self._flush_fallback(batch, points)
-            return
-        by_key = {p.get("key"): p for p in sweep_points
-                  if isinstance(p, dict)}
-        await asyncio.gather(*(
-            self._answer_from_point(batch, state, owner, point,
-                                    by_key.get(point.key))
-            for point in points))
-
-    async def _flush_fallback(self, batch: _Batch,
-                              points: List[SweepJob]) -> None:
-        await asyncio.gather(*(
-            self._route_and_resolve(batch, point) for point in points))
-
-    async def _route_and_resolve(self, batch: _Batch,
-                                 point: SweepJob) -> None:
-        self._resolve(batch, point.key, await self.route_point(
-            self._point_body(batch, point), point, batch.deadline_ms))
-
-    async def _answer_from_point(self, batch: _Batch,
-                                 state: ShardState, owner: str,
-                                 point: SweepJob,
-                                 sweep_point: Optional[Dict[str, Any]]
-                                 ) -> None:
-        """Answer one batched caller from its sweep point's child job
-        (the full record lives there, not in the point summary)."""
-        job_id = (sweep_point or {}).get("job_id")
-        if not isinstance(job_id, str) or not job_id:
-            self._resolve(batch, point.key, await self.route_point(
-                self._point_body(batch, point), point,
-                batch.deadline_ms))
-            return
-        try:
-            status, payload, _ = await self.call_shard(
-                state, "GET", f"/v1/jobs/{job_id}", None,
-                timeout_s=30.0)
-        except ShardDown:
-            self._resolve(batch, point.key, await self.route_point(
-                self._point_body(batch, point), point,
-                batch.deadline_ms))
-            return
-        self.metrics.inc("proxied")
-        self._resolve(batch, point.key,
-                      (status, self._rewrite(payload, owner), {}))
-
-    async def _wait_shard_job(self, state: ShardState, job_id: str,
-                              deadline_ms: Optional[float]
-                              ) -> Tuple[int, Dict[str, Any]]:
-        limit = time.monotonic() + (
-            300.0 if deadline_ms is None
-            else (2.0 * deadline_ms + 2000.0) / 1000.0)
-        while True:
-            status, payload, _ = await self.call_shard(
-                state, "GET", f"/v1/jobs/{job_id}", None,
-                timeout_s=30.0)
-            if status != 200 \
-                    or payload.get("status") not in ("queued",
-                                                     "running"):
-                return status, payload
-            if time.monotonic() >= limit:
-                return status, payload
-            await asyncio.sleep(0.05)
 
     # -- split sweeps --------------------------------------------------
     async def handle_sweep(self, body: Dict[str, Any],
@@ -542,12 +349,7 @@ class FrontTier:
         self.store.add(composite)
         self._spawn(self._run_split_sweep(composite, body, points,
                                           deadline_ms))
-        if wait and not composite.done:
-            limit_s = (None if deadline_ms is None
-                       else (2.0 * deadline_ms + 2000.0) / 1000.0)
-            await composite.wait(limit_s)
-        return ((200 if composite.done else 202),
-                job_response(composite), {})
+        return await _respond_job(composite, wait, deadline_ms)
 
     async def _run_split_sweep(self, composite: Job,
                                body: Dict[str, Any], points,
@@ -570,20 +372,9 @@ class FrontTier:
             self._sweep_group(owner, body, group, results, deadline_ms)
             for owner, group in groups.items()))
         point_dicts = [results[i] for i, _ in indexed]
-        done = [p for p in point_dicts
-                if p.get("status") in COMPLETED_STATUSES
-                and "metrics" in p]
-        front = pareto_front([p["metrics"] for p in done], OBJECTIVES)
-        counts: Dict[str, int] = {}
-        for point in point_dicts:
-            counts[point["status"]] = counts.get(point["status"], 0) + 1
         composite.finish({
-            "status": ("ok" if all(p["status"] == "ok"
-                                   for p in point_dicts)
-                       else "degraded"),
+            **sweep_summary(point_dicts),
             "points": point_dicts,
-            "pareto": [done[i]["index"] for i in front],
-            "status_counts": counts,
             "wall_ms": round(sum(p.get("wall_ms", 0.0)
                                  for p in point_dicts), 3),
         })
@@ -635,6 +426,24 @@ class FrontTier:
             if isinstance(entry.get("job_id"), str):
                 entry["job_id"] = f"{owner}.{entry['job_id']}"
             results[index] = entry
+
+    async def _wait_shard_job(self, state: ShardState, job_id: str,
+                              deadline_ms: Optional[float]
+                              ) -> Tuple[int, Dict[str, Any]]:
+        limit_s = _wait_limit_s(deadline_ms)
+        limit = time.monotonic() + (
+            self.config.proxy_timeout_s if limit_s is None else limit_s)
+        while True:
+            status, payload, _ = await self.call_shard(
+                state, "GET", f"/v1/jobs/{job_id}", None,
+                timeout_s=30.0)
+            if status != 200 \
+                    or payload.get("status") not in ("queued",
+                                                     "running"):
+                return status, payload
+            if time.monotonic() >= limit:
+                return status, payload
+            await asyncio.sleep(0.05)
 
     async def _sweep_group_fallback(self, body: Dict[str, Any],
                                     group: List[Tuple[int, SweepJob]],
@@ -726,14 +535,13 @@ class FrontTier:
         # Scrape-time gauges; the Prometheus text renders them from
         # "obs".
         self.metrics.gauges({
-            "front.batch_windows_open": len(self.batches),
             "front.tasks_inflight": len(self._tasks),
             "cluster.queue_depth": queue_depth,
             "cluster.inflight": inflight,
             "cluster.shards_healthy": healthy,
         })
         out: Dict[str, Any] = {
-            "schema": "repro-cluster-metrics/1",
+            "schema": "repro-cluster-metrics/2",
             "schema_version": SCHEMA_VERSION,
             "front": {
                 "counters": self.metrics.snapshot()["counters"],
@@ -831,17 +639,17 @@ class FrontTier:
         try:
             deadline_ms = _deadline_ms(body,
                                        self.config.default_timeout_ms)
-            wait = bool(body.get("wait", True))
             if path == "/v1/synthesize":
                 _space, point = catalog.synthesize_job(body)
                 sp.set(design=str(body.get("design", ""))[:64],
                        key=point.key[:12])
-                return await self.handle_synthesize(
-                    body, point, wait, deadline_ms)
+                return await self.handle_synthesize(body, point,
+                                                    deadline_ms)
             space, spec, points = catalog.sweep_jobs(body)
             sp.set(design=space.name, points=len(points))
             return await self.handle_sweep(
-                body, space.name, spec, points, wait, deadline_ms)
+                body, space.name, spec, points,
+                bool(body.get("wait", True)), deadline_ms)
         except (ReproError, ValueError, TypeError) as exc:
             return _error(400, str(exc))
 

@@ -105,8 +105,7 @@ def serve_cluster(shards: int = 2, host: str = "127.0.0.1",
                   max_queue: int = 64, pool: str = "process",
                   timeout_ms: float = 30000.0,
                   cache_path: Optional[str] = None,
-                  oracle_path: Optional[str] = None,
-                  batch_window_ms: float = 10.0) -> int:
+                  oracle_path: Optional[str] = None) -> int:
     """Blocking entry point for ``repro cluster``; 0 on clean drain."""
     if shards < 1:
         raise ReproError(f"need at least one shard, got {shards}")
@@ -156,7 +155,6 @@ def serve_cluster(shards: int = 2, host: str = "127.0.0.1",
     config = ClusterConfig(shards=tuple(addresses), host=host,
                            port=port,
                            cache_address=f"{host}:{cache_port}",
-                           batch_window_ms=batch_window_ms,
                            default_timeout_ms=timeout_ms)
 
     def drained(front: FrontTier) -> str:
@@ -164,8 +162,6 @@ def serve_cluster(shards: int = 2, host: str = "127.0.0.1",
         return (f"cluster drained cleanly: "
                 f"requests={counters['requests']} "
                 f"proxied={counters['proxied']} "
-                f"batched={counters['batched']} "
-                f"front_coalesced={counters['front_coalesced']} "
                 f"failovers={counters['failovers']}")
 
     exit_code = 0

@@ -35,8 +35,9 @@ from repro.core.oracle_store import OracleStore, activate
 from repro.core.pin_allocation import port_pattern
 from repro.explore.cache import ResultCache
 from repro.explore.keys import graph_digest
-from repro.explore.pareto import (OBJECTIVES, PRUNE_OBJECTIVES,
-                                  dominates, pareto_front)
+from repro.explore.pareto import (COMPLETED_STATUSES, OBJECTIVES,
+                                  PRUNE_OBJECTIVES, dominates,
+                                  sweep_summary)
 from repro.explore.spec import SweepJob
 from repro.explore.worker import merge_worker_record, run_chain, run_job
 from repro.obs import TRACER, inject_payload
@@ -47,9 +48,6 @@ from repro.robustness.deadline import Deadline
 #: Sweep-point parameters that perturb only the pin budgets: jobs that
 #: agree on every *other* parameter are warm-start neighbors.
 NEIGHBOR_AXES = ("pin_scale", "pin_budgets")
-
-#: Point statuses that carry a full metric vector.
-COMPLETED_STATUSES = ("ok", "degraded")
 
 
 @dataclass
@@ -64,23 +62,13 @@ class ExploreResult:
     objectives: Sequence[str] = OBJECTIVES
 
     # ------------------------------------------------------------------
-    def completed(self) -> List[Dict[str, Any]]:
-        return [p for p in self.points
-                if p.get("status") in COMPLETED_STATUSES]
-
     def pareto_indices(self) -> List[int]:
         """``index`` values of the non-dominated completed points."""
-        done = self.completed()
-        front = pareto_front([p["metrics"] for p in done],
-                             self.objectives)
-        return [done[i]["index"] for i in front]
+        return sweep_summary(self.points, self.objectives)["pareto"]
 
     def status_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for point in self.points:
-            status = point.get("status", "unknown")
-            counts[status] = counts.get(status, 0) + 1
-        return counts
+        return sweep_summary(self.points,
+                             self.objectives)["status_counts"]
 
     @property
     def all_ok(self) -> bool:

@@ -11,7 +11,10 @@ designs with the same cost).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
+
+#: Point statuses that carry a full metric vector.
+COMPLETED_STATUSES = ("ok", "degraded")
 
 #: Default minimization objectives, in report order.
 OBJECTIVES: Tuple[str, ...] = ("chips", "buses", "total_pins",
@@ -61,6 +64,31 @@ def pareto_front(points: Sequence[Mapping[str, float]],
                    for j, other in enumerate(points) if j != i):
             front.append(i)
     return front
+
+
+def sweep_summary(points: Sequence[Mapping[str, Any]],
+                  objectives: Sequence[str] = OBJECTIVES
+                  ) -> Dict[str, Any]:
+    """A sweep's ``status``, ``pareto`` and ``status_counts``.
+
+    The one definition of a sweep answer, shared by the explorer's
+    report, the service's sweep job and the cluster front's split
+    sweep.  ``status`` is ``ok`` when every point is, else
+    ``degraded``; ``pareto`` lists the ``index`` of every
+    non-dominated completed point that carries metrics;
+    ``status_counts`` counts points per status.
+    """
+    done = [p for p in points
+            if p.get("status") in COMPLETED_STATUSES and "metrics" in p]
+    front = pareto_front([p["metrics"] for p in done], objectives)
+    counts: Dict[str, int] = {}
+    for point in points:
+        status = point.get("status", "unknown")
+        counts[status] = counts.get(status, 0) + 1
+    return {"status": ("ok" if all(p.get("status") == "ok"
+                                   for p in points) else "degraded"),
+            "pareto": [done[i]["index"] for i in front],
+            "status_counts": counts}
 
 
 def front_summary(points: Sequence[Mapping[str, float]],

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from repro.explore.executor import COMPLETED_STATUSES, ExploreResult
-from repro.explore.pareto import OBJECTIVES, front_summary
+from repro.explore.executor import ExploreResult
+from repro.explore.pareto import (COMPLETED_STATUSES, OBJECTIVES,
+                                  front_summary, sweep_summary)
 from repro.explore.spec import SweepSpec
 from repro.io_json import SCHEMA_VERSION
 
@@ -40,7 +41,7 @@ def build_report(design: str, spec: SweepSpec,
     points = [_clean_point(p) for p in result.points]
     completed = [p for p in points
                  if p.get("status") in COMPLETED_STATUSES]
-    counts = result.status_counts()
+    summary = sweep_summary(result.points, result.objectives)
     resolved = len(completed)
     seconds = result.wall_ms / 1000.0
     return {
@@ -51,10 +52,10 @@ def build_report(design: str, spec: SweepSpec,
         "spec": spec.to_dict(),
         "objectives": list(OBJECTIVES),
         "points": points,
-        "pareto": result.pareto_indices(),
+        "pareto": summary["pareto"],
         "pareto_summary": front_summary(
             [p["metrics"] for p in completed]),
-        "status_counts": counts,
+        "status_counts": summary["status_counts"],
         "cache": result.cache_stats,
         "perf": result.perf.snapshot(),
         "wall_ms": round(result.wall_ms, 3),

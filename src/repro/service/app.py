@@ -38,7 +38,7 @@ from typing import (Any, Awaitable, Callable, Dict, List, Optional,
 from repro.core.oracle_store import OracleStore, activate
 from repro.errors import ReproError
 from repro.explore.cache import open_result_cache
-from repro.explore.pareto import OBJECTIVES, pareto_front
+from repro.explore.pareto import sweep_summary
 from repro.explore.spec import SweepJob, SweepSpec
 from repro.explore.worker import merge_worker_record
 from repro.io_json import SCHEMA_VERSION
@@ -52,8 +52,6 @@ from repro.service.pool import WorkerPool
 
 #: Version tag stamped on every job response object.
 RESPONSE_SCHEMA = "repro-service-response/1"
-#: Job statuses that carry a full record.
-COMPLETED_STATUSES = ("ok", "degraded")
 
 #: Monotonic counters the service increments; ``/metrics`` reports all
 #: of them even when still zero, so dashboards never see missing keys.
@@ -275,19 +273,9 @@ class SynthesisService:
                 if name in record:
                     point[name] = record[name]
             points.append(point)
-        done = [p for p in points
-                if p.get("status") in COMPLETED_STATUSES
-                and "metrics" in p]
-        front = pareto_front([p["metrics"] for p in done], OBJECTIVES)
-        counts: Dict[str, int] = {}
-        for point in points:
-            counts[point["status"]] = counts.get(point["status"], 0) + 1
         sweep.finish({
-            "status": ("ok" if all(p["status"] == "ok" for p in points)
-                       else "degraded"),
+            **sweep_summary(points),
             "points": points,
-            "pareto": [done[i]["index"] for i in front],
-            "status_counts": counts,
             "wall_ms": round(sum(p["wall_ms"] for p in points), 3),
         })
 
@@ -532,13 +520,22 @@ async def traced_submit(layer: str, path: str,
     return status, payload, extra
 
 
+def _wait_limit_s(deadline_ms: Optional[float]) -> Optional[float]:
+    """How long a waiting caller is held before it gets a 202 to poll.
+
+    The job's own budget bounds the solve; double it (plus slack) to
+    cover queue wait.  No deadline means no limit.
+    """
+    if deadline_ms is None:
+        return None
+    return (2.0 * deadline_ms + 2000.0) / 1000.0
+
+
 async def _respond_job(job: Job, wait: bool,
                        deadline_ms: Optional[float]) -> Handled:
+    """200 with the finished job, or 202 once the wait limit passes
+    (or at once when the caller did not ask to wait)."""
     if wait and not job.done:
-        # The job's own budget bounds the solve; double it (plus slack)
-        # to cover queue wait, then fall back to async polling.
-        limit_s = (None if deadline_ms is None
-                   else (2.0 * deadline_ms + 2000.0) / 1000.0)
-        await job.wait(limit_s)
+        await job.wait(_wait_limit_s(deadline_ms))
     status = 200 if job.done else 202
     return status, job_response(job), {}

@@ -24,9 +24,6 @@ import asyncio
 
 from repro.explore.worker import run_job
 
-#: Terminal record statuses a finished job can carry.
-TERMINAL_STATUSES = ("ok", "degraded", "error", "budget_exhausted")
-
 
 @dataclass(frozen=True)
 class ShardIdentity:

@@ -278,6 +278,7 @@ class ThreadedListener:
         return f"{self.host}:{self.port}"
 
     def start(self) -> "ThreadedListener":
+        """Start the tier's thread; returns once it listens."""
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"repro {self._label}")
         self._thread.start()

@@ -1,4 +1,4 @@
-"""Front tier: routing, fleet-wide coalescing, batching, failover.
+"""Front tier: routing, fleet-wide coalescing, sweeps, failover.
 
 Runs a real in-process cluster — a :class:`ThreadedCacheServer`, two
 (or more) thread-pool :class:`ThreadedServer` shards mounting it
@@ -54,8 +54,8 @@ class CountingRunner:
 class Cluster:
     """Cache server + N shards + front, as one context manager."""
 
-    def __init__(self, shards=2, runner=None, batch_window_ms=15.0,
-                 workers=2, **front_overrides):
+    def __init__(self, shards=2, runner=None, workers=2,
+                 **front_overrides):
         self.runner = runner or CountingRunner()
         self.cache = ThreadedCacheServer()
         self.n = shards
@@ -63,7 +63,6 @@ class Cluster:
         self.shards = []
         self.front = None
         self.front_overrides = front_overrides
-        self.batch_window_ms = batch_window_ms
 
     def __enter__(self):
         self.cache.start()
@@ -81,7 +80,6 @@ class Cluster:
                                       s.port)
                          for i, s in enumerate(self.shards)),
             port=0, cache_address=self.cache.address,
-            batch_window_ms=self.batch_window_ms,
             **{"probe_interval_s": 0.2, **self.front_overrides})
         self.front = ThreadedFrontTier(config).start()
         return self
@@ -107,7 +105,7 @@ class TestRouting:
             assert health["ready"] is True
             assert set(health["shards"]) == {"shard-0", "shard-1"}
             metrics = client.metrics()
-            assert metrics["schema"] == "repro-cluster-metrics/1"
+            assert metrics["schema"] == "repro-cluster-metrics/2"
             assert metrics["cluster"]["shards_healthy"] == 2
             assert metrics["cluster"]["workers"] == 4
             _status, ring = client.request("GET", "/cluster/ring")
@@ -164,8 +162,8 @@ class TestFleetCoalescing:
             for t in threads:
                 t.join()
             assert all(r["status"] == "ok" for r in results)
-            # One key, one owner shard, ONE solve — everyone else was
-            # folded by the front window or coalesced on the shard.
+            # One key, one owner shard, ONE solve — everyone else
+            # coalesced on the owner or read the shared cache.
             assert runner.calls == 1
             assert len({r["key"] for r in results}) == 1
             assert len({r["shard"] for r in results}) == 1
@@ -204,38 +202,6 @@ class TestFleetCoalescing:
                 "ar-simple", rate=5)
             assert second["cached"] is True
             assert runner.calls == 1
-
-
-class TestBatching:
-    def test_same_design_window_folds_into_one_sweep(self):
-        runner = CountingRunner()
-        with Cluster(runner=runner, batch_window_ms=40.0) as cluster:
-            results = [None] * 4
-            def hit(i):
-                results[i] = cluster.client().synthesize(
-                    "ar-general", rate=3 + i)
-            threads = [threading.Thread(target=hit, args=(i,))
-                       for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert all(r["status"] == "ok" for r in results)
-            assert len({r["key"] for r in results}) == 4
-            assert runner.calls == 4  # distinct points all solved
-            front = cluster.front.front
-            # At least one window folded >1 point into a sweep.
-            assert front.metrics.counters["batched"] >= 2
-            assert front.metrics.counters["batch_windows"] >= 1
-
-    def test_batching_disabled_routes_directly(self):
-        runner = CountingRunner()
-        with Cluster(runner=runner, batch_window_ms=0.0) as cluster:
-            response = cluster.client().synthesize("ar-simple", rate=3)
-            assert response["status"] == "ok"
-            front = cluster.front.front
-            assert front.metrics.counters["batch_windows"] == 0
-            assert front.metrics.counters["proxied"] >= 1
 
 
 class TestSweepSplit:
@@ -324,19 +290,17 @@ class TestFailover:
             finally:
                 replacement.stop()
 
-
-class TestBatchWindowFailover:
-    def test_owner_death_inside_batch_window_is_exactly_once(self):
-        """Satellite (c): concurrent identical requests fold into one
-        batch group; the owning shard dies while the window is still
-        open.  Every caller must still get a terminal answer, and the
-        fleet may execute the key at most twice — the original admit
-        plus one legitimate re-execution after the owner's death —
-        never once per caller."""
+    def test_owner_death_mid_solve_is_exactly_once(self):
+        """Concurrent identical requests all go to one owner shard,
+        which dies while the solve is in flight.  Every caller must
+        still get a terminal answer, and the fleet may execute the key
+        at most twice — the original admit plus one legitimate
+        re-execution after the owner's death — never once per
+        caller."""
         from repro.service import catalog
 
         runner = CountingRunner(solve_s=0.4)
-        with Cluster(runner=runner, batch_window_ms=200.0) as cluster:
+        with Cluster(runner=runner) as cluster:
             front = cluster.front.front
             body = {"design": "ar-simple", "rate": 7}
             _space, point = catalog.synthesize_job(body)
@@ -360,9 +324,8 @@ class TestBatchWindowFailover:
                        for i in range(4)]
             for thread in threads:
                 thread.start()
-            # Kill the owner while the 200ms batch window is open (the
-            # solve itself takes 400ms, so even a flushed batch is
-            # still in flight on the owner when it dies).
+            # Kill the owner while its solve is in flight (the solve
+            # takes 400ms).
             time.sleep(0.06)
             cluster.shards[owner_index].stop()
             for thread in threads:
@@ -376,7 +339,7 @@ class TestBatchWindowFailover:
             executions = runner.keys.count(point.key)
             assert 1 <= executions <= 2, \
                 (f"exactly-once violated: {executions} executions "
-                 f"for one batched key after a single owner death")
+                 f"for one key after a single owner death")
 
 
 class TestShardReadiness:

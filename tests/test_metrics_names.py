@@ -2,10 +2,11 @@
 
 Two real scrapes — a thread-pool service after one real solve, and a
 cluster front over one such shard — must keep every JSON key path and
-every Prometheus ``# TYPE`` family pinned below: nothing renamed or
-dropped is what lets the ``schema`` strings stay ``/1``.  Open-ended
-maps (the merged ``perf`` counters and timings) are pinned as maps,
-not entry by entry.
+every Prometheus ``# TYPE`` family pinned below.  A name is dropped or
+renamed only under a ``schema`` bump: the service is still at ``/1``;
+the front went to ``/2`` when its batched admission went, with three
+counters and a gauge.  Open-ended maps (the merged ``perf`` counters
+and timings) are pinned as maps, not entry by entry.
 
 The text exposition (format 0.0.4) requires every line to have a
 unique combination of metric name and labels, so no series line may
@@ -29,8 +30,7 @@ TRACER = ("buffered", "dropped", "enabled", "export_path", "recorded",
 SERVICE_COUNTERS = ("accepted", "budget_exhausted", "cache_hits",
                     "coalesced", "completed", "degraded", "errors",
                     "executed", "invalid", "shed")
-FRONT_COUNTERS = ("batch_windows", "batched", "errors", "failovers",
-                  "front_cache_hits", "front_coalesced", "proxied",
+FRONT_COUNTERS = ("errors", "failovers", "front_cache_hits", "proxied",
                   "requests", "shard_errors", "shed_relayed")
 
 #: Document shapes: a dict nests, a tuple lists leaf keys, None is a leaf.
@@ -73,7 +73,6 @@ FRONT_JSON = {
     "obs": {"histograms": {"front.route_ms": HISTOGRAM},
             "gauges": ("cluster.inflight", "cluster.queue_depth",
                        "cluster.shards_healthy",
-                       "front.batch_windows_open",
                        "front.tasks_inflight")},
     "tracer": TRACER,
 }
@@ -114,7 +113,6 @@ FRONT_FAMILIES = {
     **{f"repro_cluster_{name}": "gauge"
        for name in ("inflight", "latency_p95_ms", "queue_depth",
                     "shards", "shards_healthy", "workers")},
-    "repro_front_batch_windows_open": "gauge",
     "repro_front_ema_job_ms": "gauge",
     "repro_front_latency_max_ms": "gauge",
     "repro_front_latency_ms": "gauge",
@@ -227,9 +225,15 @@ class TestMetricsNames:
         assert not lost, lost
 
     def test_schemas_stay_version_one(self, scrapes):
+        # The service dropped no name, so its schema stays /1.
         assert scrapes["service"][0]["schema"] == \
             "repro-service-metrics/1"
-        assert scrapes["front"][0]["schema"] == "repro-cluster-metrics/1"
+
+    def test_front_schema_is_version_two(self, scrapes):
+        front = scrapes["front"][0]
+        assert front["schema"] == "repro-cluster-metrics/2"
+        # The front's counters are exactly the pinned /2 set.
+        assert sorted(front["front"]["counters"]) == list(FRONT_COUNTERS)
 
     @pytest.mark.parametrize("tier", ["service", "front"])
     def test_no_series_line_repeats(self, scrapes, tier):

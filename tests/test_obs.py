@@ -342,7 +342,7 @@ class TestPrometheus:
             # The cluster gauges' Prometheus home is the front's own
             # registry, as in a real ``build_metrics`` document.
             "obs": {"histograms": {}, "gauges": {
-                "front.batch_windows_open": 0,
+                "front.tasks_inflight": 0,
                 "cluster.queue_depth": 1, "cluster.inflight": 2}},
         }
         text = render_cluster_metrics(payload)
@@ -355,7 +355,7 @@ class TestPrometheus:
         assert 'repro_shard_queue_depth{shard="shard-0"} 1' in text
         assert 'repro_shard_ema_job_ms{shard="shard-0"} 4.5' in text
         assert "repro_front_cache_hits 3" in text
-        assert "repro_front_batch_windows_open 0" in text
+        assert "repro_front_tasks_inflight 0" in text
 
     def test_names_and_label_values_are_escaped(self):
         payload = {"service": {"counters": {"weird-name": 1}},

@@ -16,6 +16,7 @@ runs it.
 """
 
 import http.client
+import threading
 import time
 
 import pytest
@@ -190,7 +191,7 @@ class Cluster:
                                       s.port)
                          for i, s in enumerate(self.shards)),
             port=0, cache_address=self.cache.address,
-            batch_window_ms=15.0, probe_interval_s=0.2)
+            probe_interval_s=0.2)
         self.front = ThreadedFrontTier(config).start()
         return self
 
@@ -234,6 +235,53 @@ class TestClusterHopBoundary:
             assert front_request["layer"] == "front"
             assert service_request["layer"] == "service"
 
+    def test_concurrent_callers_each_get_their_own_chain(self):
+        # Two callers at once, same design, different keys: each
+        # caller's own trace must carry its route, its shard hop and
+        # its solve — none of them recorded on the other's trace.
+        enable_tracing()
+        with Cluster() as cluster:
+            barrier = threading.Barrier(2)
+            answers = [None, None]
+
+            def call(index):
+                client = ServiceClient(port=cluster.front.port)
+                barrier.wait()
+                answers[index] = client.synthesize("ar-simple",
+                                                   rate=3 + index)
+
+            threads = [threading.Thread(target=call, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert [a["status"] for a in answers] == ["ok", "ok"]
+            assert answers[0]["key"] != answers[1]["key"]
+
+            grouped = spans_by_name(**{"front.request": 2,
+                                       "front.route": 2,
+                                       "service.request": 2,
+                                       "service.execute": 2})
+
+            def child(name, parent):
+                found = [s for s in grouped.get(name, [])
+                         if s["trace_id"] == parent["trace_id"]
+                         and s["parent_id"] == parent["span_id"]]
+                assert len(found) == 1, (name, parent["name"], found)
+                return found[0]
+
+            roots = {s["attrs"].get("key"): s
+                     for s in grouped["front.request"]}
+            for answer in answers:
+                root = roots[answer["key"][:12]]
+                assert root["parent_id"] is None
+                route = child("front.route", root)
+                assert route["attrs"]["key"] == answer["key"][:12]
+                request = child("service.request", route)
+                child("service.execute", request)
+            assert len({s["trace_id"] for s in roots.values()}) == 2
+
     def test_metrics_exposition_on_both_tiers(self):
         with Cluster() as cluster:
             client = ServiceClient(port=cluster.front.port)
@@ -267,7 +315,7 @@ class TestClusterHopBoundary:
 
             # JSON stays the default representation on both tiers.
             assert client.metrics()["schema"] == \
-                "repro-cluster-metrics/1"
+                "repro-cluster-metrics/2"
             shard_client = ServiceClient(port=cluster.shards[0].port)
             assert shard_client.metrics()["schema"] == \
                 "repro-service-metrics/1"

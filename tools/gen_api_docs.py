@@ -93,6 +93,16 @@ schedule-first flow always drives the built-in `fds` entry as
 }
 
 
+class _Named:
+    """A parameter default that prints as a bare name."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 def first_paragraph(obj) -> str:
     doc = inspect.getdoc(obj) or ""
     return doc.split("\n\n")[0].replace("\n", " ").strip()
@@ -100,17 +110,53 @@ def first_paragraph(obj) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    # A function default prints with its address, which changes on
+    # every run; print its qualified name instead.
+    parameters = [
+        p.replace(default=_Named(p.default.__qualname__))
+        if inspect.isroutine(p.default) else p
+        for p in signature.parameters.values()]
+    return str(signature.replace(parameters=parameters))
 
 
-def describe(module) -> list:
-    lines = []
+def public_names(module) -> list:
     names = getattr(module, "__all__", None)
     if names is None:
         names = [n for n in dir(module) if not n.startswith("_")]
-    for name in names:
+    return names
+
+
+def exported_classes() -> set:
+    """Every class some section documents under its own heading."""
+    out = set()
+    for _title, module_name in SECTIONS:
+        module = importlib.import_module(module_name)
+        for name in public_names(module):
+            obj = getattr(module, name, None)
+            if inspect.isclass(obj):
+                out.add(obj)
+    return out
+
+
+def listed(cls, name: str, meth, exported: set) -> bool:
+    """Whether ``cls``'s entry lists its attribute ``name``: a method
+    of its own, or one it inherits from a ``repro`` base that has no
+    entry of its own.  A function stored as a class attribute (a
+    dataclass field's default) is not a method."""
+    owner = next(c for c in cls.__mro__ if name in vars(c))
+    if meth.__qualname__.split(".")[0] != owner.__name__:
+        return False
+    return owner is cls or (
+        owner.__module__.split(".")[0] == "repro"
+        and owner not in exported)
+
+
+def describe(module, exported: set) -> list:
+    lines = []
+    for name in public_names(module):
         obj = getattr(module, name, None)
         if obj is None:
             continue
@@ -119,10 +165,9 @@ def describe(module) -> list:
             lines.append(f"### `{name}`\n\n{summary}\n")
             for meth_name, meth in sorted(
                     inspect.getmembers(obj, inspect.isfunction)):
-                if meth_name.startswith("_"):
+                if meth_name.startswith("_") \
+                        or not listed(obj, meth_name, meth, exported):
                     continue
-                if meth.__qualname__.split(".")[0] != obj.__name__:
-                    continue  # inherited
                 lines.append(f"- `{meth_name}{signature_of(meth)}` — "
                              f"{first_paragraph(meth)}")
             lines.append("")
@@ -140,6 +185,7 @@ def main() -> None:
            "Generated by `tools/gen_api_docs.py` — do not edit by "
            "hand.",
            ""]
+    exported = exported_classes()
     for title, module_name in SECTIONS:
         module = importlib.import_module(module_name)
         out.append(f"## {title} (`{module_name}`)")
@@ -150,7 +196,7 @@ def main() -> None:
             out.append("")
         if module_name in EXTRAS:
             out.append(EXTRAS[module_name])
-        out.extend(describe(module))
+        out.extend(describe(module, exported))
         out.append("")
     target = pathlib.Path(__file__).parent.parent / "docs" / "api.md"
     target.write_text("\n".join(out) + "\n")
