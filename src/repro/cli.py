@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "server); solved points are skipped on "
                             "re-runs")
     p_exp.add_argument("--no-prune", action="store_true",
-                       help="disable cancellation of queued points "
+                       help="disable skipping of pending points "
                             "whose optimistic metrics are dominated")
     p_exp.add_argument("--warm", action="store_true",
                        help="warm-start tier: chain neighboring pin "

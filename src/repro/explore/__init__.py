@@ -9,9 +9,10 @@ first-class workload:
 * :class:`SweepSpec` / :class:`DesignSpace` — declarative grid +
   explicit-point axes, expanded deterministically into
   content-addressed :class:`SweepJob`\\ s (:mod:`repro.explore.spec`);
-* :class:`Executor` — fan-out over a process worker pool with per-job
-  deadline carving, cooperative cancellation of dominated queued
-  points, and cross-process perf merging
+* :class:`Executor` — one dispatch loop that runs every point as a
+  chain (a cold point is a chain of one) inline or over a process
+  worker pool, with per-job deadline carving, dominated points skipped
+  at dispatch, and cross-process perf merging
   (:mod:`repro.explore.executor`);
 * :class:`ResultCache` — persistent JSON-lines cache keyed by the
   canonical content hash of (graph, partitioning, rate, options), so

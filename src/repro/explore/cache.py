@@ -95,11 +95,11 @@ class ResultCache:
         """Persist a completed record; returns True if newly stored."""
         if record.get("status") not in CACHEABLE_STATUSES:
             return False
-        # Per-run bookkeeping and warm-start transients (the exported
-        # tableau basis, the oracle-store delta) do not belong in the
-        # cache: they describe one process's solve, not the result.
+        # Per-run bookkeeping and the oracle-store delta do not belong
+        # in the cache: they describe one process's solve, not the
+        # result.
         stored = {k: v for k, v in record.items()
-                  if k not in ("cached", "warm_basis", "oracle_delta")}
+                  if k not in ("cached", "oracle_delta")}
         stored = copy.deepcopy(stored)
         with self._lock:
             if key in self._index:

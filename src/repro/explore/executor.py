@@ -1,21 +1,25 @@
 """Fan-out execution of sweep jobs over a process worker pool.
 
 The :class:`Executor` turns a list of :class:`repro.explore.spec.SweepJob`
-into one record per point, using four cooperating mechanisms:
+into one record per point, in one dispatch loop:
 
 * **result cache** — points whose content hash is already in the
   :class:`repro.explore.cache.ResultCache` are served without running;
-* **worker pool** — remaining jobs fan out over a
-  ``ProcessPoolExecutor`` (``workers=1`` runs inline, no pool tax);
-* **deadline carving** — a global ``deadline_ms`` is divided into
-  per-job :class:`repro.robustness.budget.SolveBudget` slices via
-  :func:`repro.robustness.budget.carve_deadline_ms`, so the sweep as a
-  whole lands near the deadline while each job degrades gracefully
-  rather than being killed mid-solve;
-* **dominance pruning** — after every completion the running Pareto
-  front is compared against the *optimistic* (lower-bound) metrics of
-  still-queued jobs; a queued job that provably cannot extend the
-  front is cancelled cooperatively (recorded as ``pruned``).
+* **chains** — the rest run as chains through
+  :func:`repro.explore.worker.run_chain`: pin-budget neighbours in warm
+  mode, one point each otherwise;
+* **one pool** — a fork ``ProcessPoolExecutor`` with one chain queued
+  ahead of its ``workers``, or for ``workers=1`` this process, one
+  chain at a time (no pool tax);
+* **one skip rule, at dispatch** — points the running Pareto front
+  already dominates (by their *optimistic*, lower-bound metrics) are
+  ``pruned``, and every point is ``deadline_skipped`` once the global
+  ``deadline_ms`` has passed;
+* **one clock per chain** — a dispatched chain gets its points' share
+  of the time left (:func:`repro.robustness.budget.carve_deadline_ms`)
+  and carves each point's slice from it, so each job degrades
+  gracefully rather than being killed mid-solve, and the points left
+  when it runs out are ``deadline_skipped``.
 
 Worker :mod:`repro.perf` counter deltas are merged back into both the
 parent's global ``PERF`` registry and a per-sweep registry, so solver
@@ -24,10 +28,12 @@ effort is attributable exactly as in single-process runs.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import time
-from concurrent.futures import (CancelledError, ProcessPoolExecutor,
-                                as_completed)
+from collections import deque
+from concurrent.futures import (BrokenExecutor, Future,
+                                ProcessPoolExecutor, as_completed)
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -39,7 +45,7 @@ from repro.explore.pareto import (COMPLETED_STATUSES, OBJECTIVES,
                                   PRUNE_OBJECTIVES, dominates,
                                   sweep_summary)
 from repro.explore.spec import SweepJob
-from repro.explore.worker import merge_worker_record, run_chain, run_job
+from repro.explore.worker import merge_worker_record, run_chain
 from repro.obs import TRACER, inject_payload
 from repro.perf import PerfRegistry
 from repro.robustness.budget import carve_deadline_ms
@@ -75,22 +81,33 @@ class ExploreResult:
         return all(p.get("status") == "ok" for p in self.points)
 
 
+class _InlinePool(concurrent.futures.Executor):
+    """The one-worker pool: :meth:`submit` runs the call on the spot,
+    in this process, and returns its finished future."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 class Executor:
-    """Runs sweep jobs: cache, fan out, carve deadlines, prune."""
+    """Runs sweep jobs: cache, chain, dispatch, skip."""
 
     def __init__(self,
                  workers: int = 1,
                  cache: Optional[ResultCache] = None,
                  deadline_ms: Optional[float] = None,
                  prune_dominated: bool = True,
-                 min_job_ms: float = 25.0,
                  warm: bool = False,
                  oracle_store: Optional[OracleStore] = None) -> None:
         self.workers = max(1, int(workers))
         self.cache = cache if cache is not None else ResultCache(None)
         self.deadline_ms = deadline_ms
         self.prune_dominated = prune_dominated
-        self.min_job_ms = min_job_ms
         #: Warm mode: group pin-budget neighbors into chains that run
         #: back-to-back on one worker, each point reusing its
         #: predecessor's tableau basis and the shared oracle store.
@@ -101,21 +118,17 @@ class Executor:
     def run(self, jobs: Sequence[SweepJob]) -> ExploreResult:
         with TRACER.span("explore.sweep", layer="explore",
                          jobs=len(jobs), workers=self.workers) as sp:
-            result = self._run(jobs, deadline=Deadline(self.deadline_ms))
-            sp.set(cache_hits=result.cache_stats.get("hits", 0))
-            return result
-
-    def _run(self, jobs: Sequence[SweepJob],
-             deadline: Deadline) -> ExploreResult:
-        start = time.perf_counter()
-        sweep_perf = PerfRegistry()
-        records: Dict[int, Dict[str, Any]] = {}
-        front: List[Dict[str, float]] = []
-
-        pending: List[SweepJob] = []
-        for job in jobs:
-            cached = self.cache.get(job.key)
-            if cached is not None:
+            start = time.perf_counter()
+            deadline = Deadline(self.deadline_ms)
+            sweep_perf = PerfRegistry()
+            records: Dict[int, Dict[str, Any]] = {}
+            front: List[Dict[str, float]] = []
+            pending: List[SweepJob] = []
+            for job in jobs:
+                cached = self.cache.get(job.key)
+                if cached is None:
+                    pending.append(job)
+                    continue
                 cached["index"] = job.index
                 cached["params"] = dict(job.params)
                 cached["cached"] = True
@@ -123,40 +136,107 @@ class Executor:
                 if cached.get("status") in COMPLETED_STATUSES:
                     front.append(cached["metrics"])
                 sweep_perf.merge(cached.get("perf") or {})
-            else:
-                pending.append(job)
 
-        # Activate the shared store *before* the pool forks, so worker
-        # processes inherit it and can answer oracle queries locally.
-        previous_store = (activate(self.oracle_store)
-                          if self.oracle_store is not None else None)
+            # Activate the shared store *before* the pool forks, so
+            # worker processes inherit it and answer oracle queries
+            # locally.
+            previous_store = (activate(self.oracle_store)
+                              if self.oracle_store is not None else None)
+            try:
+                if pending:
+                    self._dispatch(self._chains(pending) if self.warm
+                                   else [[job] for job in pending],
+                                   deadline, records, front, sweep_perf)
+            finally:
+                if self.oracle_store is not None:
+                    activate(previous_store)
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            stats = self.cache.stats()
+            sp.set(cache_hits=stats.get("hits", 0))
+            return ExploreResult(
+                points=[records[job.index] for job in jobs],
+                workers=self.workers, wall_ms=wall_ms, perf=sweep_perf,
+                cache_stats=stats)
+
+    # ------------------------------------------------------------------
+    def _pool(self) -> concurrent.futures.Executor:
+        if self.workers == 1:
+            return _InlinePool()
         try:
-            if pending:
-                if self.warm:
-                    chains = self._chains(pending)
-                    if self.workers == 1:
-                        self._run_chains_inline(chains, deadline,
-                                                records, front,
-                                                sweep_perf)
-                    else:
-                        self._run_chains_pool(chains, deadline,
-                                              records, front,
-                                              sweep_perf)
-                elif self.workers == 1:
-                    self._run_inline(pending, deadline, records, front,
-                                     sweep_perf)
-                else:
-                    self._run_pool(pending, deadline, records, front,
-                                   sweep_perf)
-        finally:
-            if self.oracle_store is not None:
-                activate(previous_store)
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX fallback
+            context = multiprocessing.get_context()
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   mp_context=context)
 
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        points = [records[job.index] for job in jobs]
-        return ExploreResult(points=points, workers=self.workers,
-                             wall_ms=wall_ms, perf=sweep_perf,
-                             cache_stats=self.cache.stats())
+    def _dispatch(self, chains: List[List[SweepJob]], deadline: Deadline,
+                  records: Dict[int, Dict[str, Any]],
+                  front: List[Dict[str, float]],
+                  sweep_perf: PerfRegistry) -> None:
+        """Run ``chains`` in order.  The skip rule and the carving of
+        each chain's clock run as the chain is dispatched."""
+        queue = deque(chains)
+        running: Dict[Future, List[SweepJob]] = {}
+        # One chain queued ahead of the process pool's workers, so a
+        # worker that finishes need not wait on this process.
+        in_flight = self.workers + 1 if self.workers > 1 else 1
+        with self._pool() as pool:
+            while queue or running:
+                while queue and len(running) < in_flight:
+                    chain = self._admit(queue.popleft(), deadline,
+                                        records, front)
+                    if not chain:
+                        continue
+                    # Every point not yet finished shares the time left;
+                    # the chain's clock is its points' shares, within it.
+                    remaining = deadline.remaining_ms()
+                    share = carve_deadline_ms(
+                        remaining,
+                        sum(map(len, [chain, *queue, *running.values()])),
+                        workers=self.workers)
+                    if share is not None:
+                        share = min(share * len(chain), remaining) \
+                            / len(chain)
+                    payloads = [inject_payload(
+                        job.payload(deadline_ms=share)) for job in chain]
+                    try:
+                        future = pool.submit(run_chain, payloads)
+                    except BrokenExecutor as exc:  # a worker died
+                        future = Future()
+                        future.set_exception(exc)
+                    running[future] = chain
+                if not running:
+                    break
+                future = next(as_completed(running))
+                chain = running.pop(future)
+                try:
+                    chain_records = future.result()
+                except Exception as exc:  # pool infrastructure failure
+                    for job in chain:
+                        records[job.index] = self._unrun(
+                            job, "error", error=f"worker failed: {exc}")
+                    continue
+                for job, record in zip(chain, chain_records):
+                    self._absorb(record, job, records, front, sweep_perf,
+                                 forked=self.workers > 1)
+
+    def _admit(self, chain: List[SweepJob], deadline: Deadline,
+               records: Dict[int, Dict[str, Any]],
+               front: List[Dict[str, float]]) -> List[SweepJob]:
+        """The skip rule: record the points of ``chain`` that will not
+        run, and return the rest in their chain order."""
+        expired = deadline.expired()
+        for job in chain:
+            if expired or self._prunable(job, front):
+                records[job.index] = self._unrun(
+                    job, "deadline_skipped" if expired else "pruned")
+        return [job for job in chain if job.index not in records]
+
+    @staticmethod
+    def _unrun(job: SweepJob, status: str, **extra: Any) -> Dict[str, Any]:
+        return {"index": job.index, "key": job.key,
+                "params": dict(job.params), "status": status,
+                "cached": False, "wall_ms": 0.0, **extra}
 
     # ------------------------------------------------------------------
     def _chains(self, pending: List[SweepJob]) -> List[List[SweepJob]]:
@@ -205,172 +285,9 @@ class Executor:
                 sweep_perf: PerfRegistry,
                 forked: bool) -> None:
         records[job.index] = record
-        record.pop("warm_basis", None)
         sweep_perf.merge(record.get("perf") or {})
         merge_worker_record(record, forked, self.oracle_store)
         if record.get("status") in COMPLETED_STATUSES:
             front.append(record["metrics"])
             self.cache.put(job.key, record)
 
-    @staticmethod
-    def _skipped(job: SweepJob, status: str) -> Dict[str, Any]:
-        return {"index": job.index, "key": job.key,
-                "params": dict(job.params), "status": status,
-                "cached": False, "wall_ms": 0.0}
-
-    # ------------------------------------------------------------------
-    def _run_inline(self, pending: List[SweepJob], deadline: Deadline,
-                    records: Dict[int, Dict[str, Any]],
-                    front: List[Dict[str, float]],
-                    sweep_perf: PerfRegistry) -> None:
-        for position, job in enumerate(pending):
-            if deadline.expired():
-                records[job.index] = self._skipped(
-                    job, "deadline_skipped")
-                continue
-            if self._prunable(job, front):
-                records[job.index] = self._skipped(job, "pruned")
-                continue
-            slice_ms = carve_deadline_ms(
-                deadline.remaining_ms(), len(pending) - position,
-                workers=1, floor_ms=self.min_job_ms)
-            record = run_job(inject_payload(
-                job.payload(deadline_ms=slice_ms)))
-            self._absorb(record, job, records, front, sweep_perf,
-                         forked=False)
-
-    def _run_pool(self, pending: List[SweepJob], deadline: Deadline,
-                  records: Dict[int, Dict[str, Any]],
-                  front: List[Dict[str, float]],
-                  sweep_perf: PerfRegistry) -> None:
-        slice_ms = carve_deadline_ms(
-            deadline.remaining_ms(), len(pending),
-            workers=self.workers, floor_ms=self.min_job_ms)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
-        skip_reason: Dict[int, str] = {}
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=context) as pool:
-            futures = {
-                pool.submit(run_job, inject_payload(
-                    job.payload(deadline_ms=slice_ms))):
-                job
-                for job in pending
-            }
-            for future in as_completed(futures):
-                job = futures[future]
-                try:
-                    record = future.result()
-                except CancelledError:
-                    records[job.index] = self._skipped(
-                        job, skip_reason.get(job.index, "pruned"))
-                    continue
-                except Exception as exc:  # pool infrastructure failure
-                    records[job.index] = {
-                        "index": job.index, "key": job.key,
-                        "params": dict(job.params), "status": "error",
-                        "cached": False, "wall_ms": 0.0,
-                        "error": f"worker failed: {exc}"}
-                    continue
-                self._absorb(record, job, records, front, sweep_perf,
-                             forked=True)
-                # Cooperative cancellation of queued work that can no
-                # longer matter: everything once the global deadline is
-                # gone, dominated points always.
-                expired = deadline.expired()
-                for other, other_job in futures.items():
-                    if other.done() or other_job.index in skip_reason:
-                        continue
-                    if expired:
-                        reason = "deadline_skipped"
-                    elif self._prunable(other_job, front):
-                        reason = "pruned"
-                    else:
-                        continue
-                    if other.cancel():
-                        skip_reason[other_job.index] = reason
-
-    # ------------------------------------------------------------------
-    def _run_chains_inline(self, chains: List[List[SweepJob]],
-                           deadline: Deadline,
-                           records: Dict[int, Dict[str, Any]],
-                           front: List[Dict[str, float]],
-                           sweep_perf: PerfRegistry) -> None:
-        remaining = sum(len(chain) for chain in chains)
-        for chain in chains:
-            warm = None
-            for job in chain:
-                if deadline.expired():
-                    records[job.index] = self._skipped(
-                        job, "deadline_skipped")
-                    remaining -= 1
-                    continue
-                if self._prunable(job, front):
-                    records[job.index] = self._skipped(job, "pruned")
-                    remaining -= 1
-                    continue
-                slice_ms = carve_deadline_ms(
-                    deadline.remaining_ms(), remaining,
-                    workers=1, floor_ms=self.min_job_ms)
-                payload = inject_payload(
-                    job.payload(deadline_ms=slice_ms))
-                payload["export_warm"] = True
-                if warm is not None:
-                    payload["warm_basis"] = warm
-                record = run_job(payload)
-                basis = record.pop("warm_basis", None)
-                if basis is not None:
-                    warm = basis
-                self._absorb(record, job, records, front, sweep_perf,
-                             forked=False)
-                remaining -= 1
-
-    def _run_chains_pool(self, chains: List[List[SweepJob]],
-                         deadline: Deadline,
-                         records: Dict[int, Dict[str, Any]],
-                         front: List[Dict[str, float]],
-                         sweep_perf: PerfRegistry) -> None:
-        total = sum(len(chain) for chain in chains)
-        slice_ms = carve_deadline_ms(
-            deadline.remaining_ms(), total,
-            workers=self.workers, floor_ms=self.min_job_ms)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=context) as pool:
-            futures = {}
-            for chain in chains:
-                payloads = [inject_payload(
-                    job.payload(deadline_ms=slice_ms))
-                    for job in chain]
-                futures[pool.submit(run_chain, payloads)] = chain
-            for future in as_completed(futures):
-                chain = futures[future]
-                try:
-                    chain_records = future.result()
-                except CancelledError:
-                    for job in chain:
-                        records[job.index] = self._skipped(
-                            job, "deadline_skipped")
-                    continue
-                except Exception as exc:  # pool infrastructure failure
-                    for job in chain:
-                        records[job.index] = {
-                            "index": job.index, "key": job.key,
-                            "params": dict(job.params),
-                            "status": "error", "cached": False,
-                            "wall_ms": 0.0,
-                            "error": f"worker failed: {exc}"}
-                    continue
-                for job, record in zip(chain, chain_records):
-                    self._absorb(record, job, records, front,
-                                 sweep_perf, forked=True)
-                # Chains are the cancellation granularity in warm mode:
-                # once the deadline is gone, unstarted chains are cut.
-                if deadline.expired():
-                    for other, other_chain in futures.items():
-                        other.cancel()

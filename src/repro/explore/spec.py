@@ -319,9 +319,9 @@ def auto_partition_axis(graph: Cdfg, n_chips: int,
 def optimistic_metrics(job: SweepJob) -> Dict[str, float]:
     """Cheap lower bounds on a job's metrics, for dominance pruning.
 
-    A queued job whose *best possible* outcome is already dominated by
+    A pending job whose *best possible* outcome is already dominated by
     a finished point cannot extend the Pareto front, so the executor
-    may cancel it.  Bounds must be sound, never tight: chip count is
+    may skip it.  Bounds must be sound, never tight: chip count is
     exact; latency is the critical path; every chip (and the outside
     world) needs at least one port as wide as its widest crossing
     value; one bus suffices only if anything crosses at all.

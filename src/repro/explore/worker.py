@@ -1,28 +1,32 @@
-"""The explorer's process-pool worker: one sweep point per call.
+"""The explorer's worker: a chain of sweep points per call.
 
-:func:`run_job` is the single importable entry point a
-``ProcessPoolExecutor`` dispatches to.  Its contract is deliberately
-plain-data-in, plain-data-out: the payload is a JSON-able dict (graph
-and partitioning in their :mod:`repro.io_json` forms, options as a
-field dict, a carved per-job deadline in ms), and the returned record
-is a JSON-able dict too — status, metrics, stats, diagnostics, and the
-worker's :mod:`repro.perf` counter delta, ready to be merged by the
-parent and appended verbatim to the on-disk result cache.
+:func:`run_chain` is the entry point the explorer's pool dispatches to,
+inline or in a forked process; :func:`run_job`, the service's entry
+point, is a chain of one.  The contract is deliberately plain-data-in,
+plain-data-out: each payload is a JSON-able dict (graph and
+partitioning in their :mod:`repro.io_json` forms, options as a field
+dict, the point's share of the chain's deadline in ms), and each
+returned record is a JSON-able dict too — status, metrics, stats,
+diagnostics, and the worker's :mod:`repro.perf` counter delta, ready
+to be merged by the parent and appended verbatim to the on-disk
+result cache.
 
 Workers never raise: every failure mode is folded into the record's
 ``status`` (``error`` / ``budget_exhausted`` / ``invalid``) so one
 pathological point cannot take down the sweep.
 
-:func:`run_chain` runs a warm chain through the same per-point body but
-parses its graph and timing once, so later points reuse the graph and
-the compiled design and signature memoized on it (DESIGN §12, §13).
+Within a chain, each point's exported warm basis is handed to the next
+point in-process, and the graph and timing are parsed once, so later
+points reuse the graph and the compiled design and signature memoized
+on it (DESIGN §12, §13).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.check.report import CheckError
 from repro.core.flow import SynthesisOptions, synthesize
@@ -34,7 +38,9 @@ from repro.modules.library import (ar_filter_timing,
                                    elliptic_filter_timing)
 from repro.obs import TRACER, extract_payload
 from repro.perf import PERF
-from repro.robustness.budget import BudgetExhausted, SolveBudget
+from repro.robustness.budget import (BudgetExhausted, SolveBudget,
+                                     carve_deadline_ms)
+from repro.robustness.deadline import Deadline
 
 #: Named timing libraries (module libraries are code, not data, so jobs
 #: reference them by name — the same convention as result archives).
@@ -80,33 +86,25 @@ def result_metrics(result, wall_ms: float) -> Dict[str, float]:
 def run_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Synthesize one sweep point; always returns a record dict.
 
-    Warm-start extensions to the payload contract (all optional):
-
-    * ``warm_basis`` — a :class:`repro.ilp.WarmBasis` (or its dict
-      form) from a structurally-identical neighbor; handed to
-      :func:`synthesize` as ``pin_warm_basis``;
-    * ``export_warm`` — when truthy, the result's exported basis rides
-      along as ``record["warm_basis"]`` (an in-process object — callers
-      that archive records must drop it; :meth:`ResultCache.put` does).
-
-    When a process-wide oracle store is active (see
-    :mod:`repro.core.oracle_store`), the entries this job appended are
-    returned as ``record["oracle_delta"]`` for the parent to merge —
-    forked pool workers mutate only their copy of the store.
+    A chain of one: ``run_chain([payload])[0]``.  When a process-wide
+    oracle store is active (see :mod:`repro.core.oracle_store`), the
+    entries this job appended are returned as ``record["oracle_delta"]``
+    for the parent to merge — forked pool workers mutate only their
+    copy of the store.
     """
-    return _run_point(payload, {})
+    return run_chain([payload])[0]
 
 
-def _run_point(payload: Mapping[str, Any],
-               parsed: Dict[str, Any]) -> Dict[str, Any]:
-    """The body of :func:`run_job` and :func:`run_chain`; ``parsed``
-    carries the last point's parsed ``(graph, timing)`` and source."""
-    record: Dict[str, Any] = {
-        "index": payload.get("index", -1),
-        "key": payload.get("key", ""),
-        "params": dict(payload.get("params", {})),
-        "cached": False,
-    }
+def _run_point(payload: Mapping[str, Any], parsed: Dict[str, Any],
+               warm: Any, deadline_ms: Optional[float]
+               ) -> Tuple[Dict[str, Any], Any]:
+    """One point of :func:`run_chain`: its record and its exported
+    warm basis (``None`` if it exported none).  ``parsed`` carries the
+    last point's parsed ``(graph, timing)`` and source; ``warm`` is the
+    basis the pin checker starts from; ``deadline_ms`` is the point's
+    slice of the chain's clock."""
+    basis = None
+    record = _record(payload)
     start = time.perf_counter()
     store = get_active()
     mark = store.mark() if store is not None else 0
@@ -132,7 +130,6 @@ def _run_point(payload: Mapping[str, Any],
                 payload["design"]["partitioning"])
             options = SynthesisOptions.from_dict(payload["options"])
             resources = _resources_from_payload(payload.get("resources"))
-            deadline_ms = payload.get("deadline_ms")
             budget = (None if deadline_ms is None
                       else SolveBudget(deadline_ms=deadline_ms))
             kwargs = options.to_dict()
@@ -141,7 +138,7 @@ def _run_point(payload: Mapping[str, Any],
                 result = synthesize(
                     graph, partitioning, timing, int(payload["rate"]),
                     flow=flow, budget=budget, resources=resources,
-                    pin_warm_basis=payload.get("warm_basis"), **kwargs)
+                    pin_warm_basis=warm, **kwargs)
                 report = result.check
                 record["status"] = "degraded" if result.degraded \
                     else "ok"
@@ -156,9 +153,7 @@ def _run_point(payload: Mapping[str, Any],
             record["metrics"] = result_metrics(result, wall_ms)
             record["stats"] = _jsonable(_stats_to_dict(result.stats))
             record["diagnostics"] = result.diagnostics.to_dict()
-            if payload.get("export_warm") \
-                    and result.warm_basis is not None:
-                record["warm_basis"] = result.warm_basis
+            basis = result.warm_basis
             if payload.get("check") or record["status"] == "invalid":
                 record["check"] = report.to_dict()
         except BudgetExhausted as exc:
@@ -182,7 +177,7 @@ def _run_point(payload: Mapping[str, Any],
         record["spans"] = spans
     if store is not None:
         record["oracle_delta"] = store.delta_since(mark)
-    return record
+    return record, basis
 
 
 def merge_worker_record(record: Dict[str, Any], forked: bool,
@@ -204,30 +199,45 @@ def merge_worker_record(record: Dict[str, Any], forked: bool,
 def run_chain(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     """Run neighboring sweep points back-to-back in this process.
 
-    The executor groups points that differ only in their pin budgets
-    into a chain (ordered by *descending* ``pin_scale``, so every step
-    is a tightening and the inherited cuts stay sound) and dispatches
-    the whole chain to one worker, so each point inherits its
-    predecessor's :class:`WarmBasis` without any serialization and the
-    (inherited) oracle store stays hot.  The exported basis is threaded
-    internally and stripped from the returned records.  The graph and
-    timing are parsed again only when a point's graph dict or timing
-    name differs from its predecessor's.
+    In warm mode the executor groups points that differ only in their
+    pin budgets into a chain (ordered by *descending* ``pin_scale``, so
+    every step is a tightening and the inherited cuts stay sound) and
+    dispatches the whole chain to one worker, so each point inherits
+    its predecessor's :class:`WarmBasis` without any serialization and
+    the (inherited) oracle store stays hot; a cold point is a chain of
+    one.  The basis never leaves this function.  The graph and timing
+    are parsed again only when a point's graph dict or timing name
+    differs from its predecessor's.
+
+    The chain runs on one clock, the sum of its points' ``deadline_ms``
+    shares, and carves each point's slice from what is left of it; once
+    the clock has run out, the points left are ``deadline_skipped``.
+    The first point always runs, so a chain of one keeps its deadline.
     """
+    shares = [payload.get("deadline_ms") for payload in payloads]
+    clock = Deadline(None if None in shares else sum(shares))
     records: List[Dict[str, Any]] = []
     warm = None
     parsed: Dict[str, Any] = {}
-    for payload in payloads:
-        job = dict(payload)
-        job["export_warm"] = True
-        if warm is not None and "warm_basis" not in job:
-            job["warm_basis"] = warm
-        record = _run_point(job, parsed)
-        basis = record.pop("warm_basis", None)
+    for left, payload in zip(range(len(payloads), 0, -1), payloads):
+        if records and clock.expired():
+            records.append(_record(payload, status="deadline_skipped",
+                                   wall_ms=0.0))
+            continue
+        record, basis = _run_point(
+            payload, parsed, warm,
+            carve_deadline_ms(clock.remaining_ms(), left))
         if basis is not None:
             warm = basis
         records.append(record)
     return records
+
+
+def _record(payload: Mapping[str, Any], **fields: Any) -> Dict[str, Any]:
+    """A point's record: its identity from ``payload``, then ``fields``."""
+    return {"index": payload.get("index", -1), "key": payload.get("key", ""),
+            "params": dict(payload.get("params", {})), "cached": False,
+            **fields}
 
 
 def _jsonable(data: Dict[str, Any]) -> Dict[str, Any]:

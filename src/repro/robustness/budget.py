@@ -168,18 +168,21 @@ class BudgetToken:
         )
 
 
+#: The least slice :func:`carve_deadline_ms` hands a job, time allowing.
+SLICE_FLOOR_MS = 25.0
+
+
 def carve_deadline_ms(remaining_ms: Optional[float],
                       jobs_left: int,
-                      workers: int = 1,
-                      floor_ms: float = 25.0) -> Optional[float]:
+                      workers: int = 1) -> Optional[float]:
     """Fair per-job slice of a global deadline across a worker pool.
 
     With ``jobs_left`` jobs still to run on ``workers`` parallel
     workers, each job may spend roughly ``remaining * workers /
     jobs_left`` before the pool as a whole busts the global deadline.
-    The slice is clamped to ``[floor_ms, remaining_ms]`` — the floor
-    keeps tail jobs from being handed unusably small budgets, and no
-    job may outlive the global clock.  ``None`` remaining means
+    The slice is clamped to ``[SLICE_FLOOR_MS, remaining_ms]`` — the
+    floor keeps tail jobs from being handed unusably small budgets, and
+    no job may outlive the global clock.  ``None`` remaining means
     unlimited.
     """
     if remaining_ms is None:
@@ -188,7 +191,8 @@ def carve_deadline_ms(remaining_ms: Optional[float],
     if jobs_left <= 0:
         return remaining_ms
     share = remaining_ms * max(1, workers) / jobs_left
-    return max(min(floor_ms, remaining_ms), min(share, remaining_ms))
+    return max(min(SLICE_FLOOR_MS, remaining_ms),
+               min(share, remaining_ms))
 
 
 BudgetLike = Union[SolveBudget, BudgetToken, None]

@@ -11,8 +11,12 @@ hazard) and the first real request pays no pool spin-up.
 pool — what the test suite uses (runners are injectable closures
 there) and the fallback for platforms without ``fork``.  Jobs are the
 explorer's plain-data payloads executed by
-:func:`repro.explore.worker.run_job`, so the service, the explorer,
-and the process boundary all share one job contract.
+:func:`repro.explore.worker.run_job`, a chain of one through the same
+:func:`repro.explore.worker.run_chain` the explorer dispatches, so the
+service, the explorer, and the process boundary all share one job
+contract.  The pool itself stays the service's own: unlike the
+explorer's per-sweep pool it outlives every request, is warmed before
+the socket opens, and has a thread mode.
 """
 
 from __future__ import annotations

@@ -297,6 +297,118 @@ class TestExecutor:
                                        "deadline_skipped", "pruned")
 
 
+def _lost_chain(payloads):
+    raise RuntimeError("worker lost")
+
+
+def _dead_worker(payloads):
+    os._exit(1)
+
+
+#: Every pool and chain shape the dispatch loop has: (workers, warm).
+DISPATCH_MODES = pytest.mark.parametrize(
+    "workers,warm", [(1, False), (1, True), (2, False), (2, True)])
+
+
+class TestOneSkipRule:
+    """Pruning, deadline skips and pool failures follow one rule,
+    applied as each chain is dispatched, at every worker count, cold
+    and warm."""
+
+    def _jobs(self):
+        # In warm mode the two pin scales form one chain.
+        spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],
+                               "pin_scale": [1.0, 0.9]})
+        return spec.expand(ar_simple_space())
+
+    @DISPATCH_MODES
+    def test_point_dominated_by_cached_front_is_pruned(self, workers,
+                                                       warm):
+        cache = ResultCache(None)
+        cache.put("unbeatable", {
+            "status": "ok", "wall_ms": 1.0, "key": "unbeatable",
+            "params": {},
+            "metrics": {"chips": 0, "buses": 0, "total_pins": 0,
+                        "latency": 0, "wall_ms": 1.0}})
+        jobs = self._jobs()
+        unbeatable = self._jobs()[0]
+        unbeatable.key = "unbeatable"
+        unbeatable.index = len(jobs)
+        result = Executor(workers=workers, warm=warm,
+                          cache=cache).run(jobs + [unbeatable])
+        assert [p["status"] for p in result.points] \
+            == ["pruned", "pruned", "ok"]
+
+    @DISPATCH_MODES
+    def test_expired_deadline_skips_every_point(self, workers, warm):
+        result = Executor(workers=workers, warm=warm,
+                          deadline_ms=0).run(self._jobs())
+        assert [p["status"] for p in result.points] \
+            == ["deadline_skipped", "deadline_skipped"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_chain_gives_one_error_per_point(self, workers,
+                                                    monkeypatch):
+        from repro.explore import executor
+        monkeypatch.setattr(executor, "run_chain", _lost_chain)
+        result = Executor(workers=workers, warm=True).run(self._jobs())
+        assert [p["status"] for p in result.points] == ["error", "error"]
+        assert all("worker lost" in p["error"] for p in result.points)
+
+    def test_dead_worker_fails_its_points_not_the_sweep(self,
+                                                         monkeypatch):
+        # More chains than workers: the chains dispatched after the
+        # pool broke fail too, each with its own error records.
+        from repro.explore import executor
+        monkeypatch.setattr(executor, "run_chain", _dead_worker)
+        jobs = SweepSpec(axes=FAST_GRID).expand(ar_simple_space())
+        result = Executor(workers=2).run(jobs)
+        assert [p["status"] for p in result.points] == ["error"] * 4
+
+
+class TestChainClock:
+    """A chain runs on one clock, the sum of its points' deadline
+    shares: each point's slice is carved from what is left of it, and
+    once it has run out the chain's remaining points are skipped."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_chain_lands_near_global_deadline(self, workers):
+        # One pin_scale chain far too big for its deadline: its head
+        # runs, its tail is skipped, and the sweep ends promptly.
+        import time
+        from repro.designs import ar_stacked_design, ar_stacked_pins
+        design = DesignSpace(name="ar-stacked-4", graph=ar_stacked_design(4),
+                             partitioning=ar_stacked_pins(4), timing="ar")
+        spec = SweepSpec(axes={
+            "rate": [2], "flow": ["simple"],
+            "pin_scale": [round(1.8875 - 0.0125 * k, 4)
+                          for k in range(12)]})
+        jobs = spec.expand(design)
+        start = time.perf_counter()
+        result = Executor(workers=workers, warm=True,
+                          deadline_ms=150).run(jobs)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        assert elapsed_ms < 5000
+        statuses = [p["status"] for p in result.points]
+        assert statuses[0] != "deadline_skipped"
+        assert statuses[-1] == "deadline_skipped"
+        assert set(statuses) <= {"ok", "degraded", "budget_exhausted",
+                                 "deadline_skipped"}
+
+    def test_spent_clock_skips_all_but_the_first_point(self):
+        from repro.explore.worker import run_chain, run_job
+        spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],
+                               "pin_scale": [1.0, 0.9, 0.8]})
+        payloads = [job.payload(deadline_ms=0.0)
+                    for job in spec.expand(ar_simple_space())]
+        records = run_chain(payloads)
+        assert [r["status"] for r in records] \
+            == ["budget_exhausted", "deadline_skipped", "deadline_skipped"]
+        assert [r["index"] for r in records] == [0, 1, 2]
+        # A chain of one is its point with its own deadline.
+        assert run_job(payloads[1])["status"] == "budget_exhausted"
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                     reason="parallel speedup needs >= 4 cores")
 def test_four_workers_beat_one_on_wall_clock():

@@ -542,6 +542,28 @@ class TestWarmExecutorEqualsCold:
         assert [len(chain) for chain in chains] == [2, 2]
         assert hashed == ["ar-stacked-2"]
 
+    def test_inline_warm_chain_compiles_the_design_once(self,
+                                                         monkeypatch):
+        """An inline warm chain runs through ``run_chain`` too, so its
+        points share one parsed graph and its compiled design."""
+        from repro.scheduling.list_scheduler import CompiledDesign
+
+        spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],
+                               "pin_scale": [2.0, 1.95, 1.9, 1.85, 1.8]})
+        jobs = spec.expand(design_space("ar-stacked-2"))
+        built = []
+        init = CompiledDesign.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledDesign, "__init__", counting_init)
+        result = Executor(workers=1, cache=ResultCache(), warm=True,
+                          oracle_store=OracleStore()).run(jobs)
+        assert [p["status"] for p in result.points] == ["ok"] * 5
+        assert len(built) == 1
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_points_drop_oracle_deltas_after_merge(self, workers):
         spec = SweepSpec(axes={"rate": [2], "flow": ["simple"],

@@ -10,6 +10,7 @@ browsable reference.  Run after API changes:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -108,6 +109,21 @@ def first_paragraph(obj) -> str:
     return doc.split("\n\n")[0].replace("\n", " ").strip()
 
 
+def unquoted(annotation):
+    """A quoted forward reference (``-> "Cdfg"``) reads ``"'Cdfg'"``
+    under ``from __future__ import annotations``; return it as
+    ``'Cdfg'``, so it prints in one pair of quotes like every other
+    annotation."""
+    if isinstance(annotation, str):
+        try:
+            inner = ast.literal_eval(annotation)
+        except (ValueError, SyntaxError):
+            return annotation
+        if isinstance(inner, str):
+            return inner
+    return annotation
+
+
 def signature_of(obj) -> str:
     try:
         signature = inspect.signature(obj)
@@ -116,10 +132,13 @@ def signature_of(obj) -> str:
     # A function default prints with its address, which changes on
     # every run; print its qualified name instead.
     parameters = [
-        p.replace(default=_Named(p.default.__qualname__))
-        if inspect.isroutine(p.default) else p
+        p.replace(annotation=unquoted(p.annotation),
+                  default=_Named(p.default.__qualname__)
+                  if inspect.isroutine(p.default) else p.default)
         for p in signature.parameters.values()]
-    return str(signature.replace(parameters=parameters))
+    return str(signature.replace(
+        parameters=parameters,
+        return_annotation=unquoted(signature.return_annotation)))
 
 
 def public_names(module) -> list:
