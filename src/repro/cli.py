@@ -55,15 +55,8 @@ from typing import Optional, Tuple
 
 from repro import synthesize
 from repro.cdfg.graph import Cdfg
-from repro.designs import (AR_GENERAL_PINS_BIDIR, AR_GENERAL_PINS_UNIDIR,
-                           AR_SIMPLE_PINS, ELLIPTIC_PINS_BIDIR,
-                           ELLIPTIC_PINS_UNIDIR, ar_general_design,
-                           ar_simple_design, ar_stacked_design,
-                           ar_stacked_pins, elliptic_design,
-                           elliptic_resources)
 from repro.errors import ReproError
 from repro.io_json import _stats_to_dict, dump_result, load_design
-from repro.modules.library import ar_filter_timing, elliptic_filter_timing
 from repro.partition.model import Partitioning
 from repro.reporting import (interconnect_listing, pins_summary,
                              schedule_listing)
@@ -90,40 +83,28 @@ BUILTINS = {
 }
 
 
+def _design_space(name_or_path: str):
+    """The catalog's space for a built-in name, else a design file's
+    (AR timing)."""
+    from repro.explore.spec import DesignSpace
+    from repro.service import catalog
+    try:
+        return catalog.design_space(name_or_path)
+    except ReproError:
+        graph, partitioning = load_design(name_or_path)
+        return DesignSpace(name=name_or_path, graph=graph,
+                           partitioning=partitioning, timing="ar")
+
+
 def _load(name_or_path: str, rate: int
           ) -> Tuple[Cdfg, Partitioning, object, Optional[dict]]:
     """(graph, partitioning, timing, resources) for a design spec."""
-    if name_or_path == "ar-simple":
-        return (ar_simple_design(), AR_SIMPLE_PINS, ar_filter_timing(),
-                None)
-    if name_or_path == "ar-general":
-        return (ar_general_design(), AR_GENERAL_PINS_UNIDIR,
-                ar_filter_timing(), None)
-    if name_or_path == "ar-general-bidir":
-        return (ar_general_design(), AR_GENERAL_PINS_BIDIR,
-                ar_filter_timing(), None)
-    if name_or_path == "elliptic":
-        return (elliptic_design(), ELLIPTIC_PINS_UNIDIR,
-                elliptic_filter_timing(), elliptic_resources(rate))
-    if name_or_path == "elliptic-bidir":
-        return (elliptic_design(), ELLIPTIC_PINS_BIDIR,
-                elliptic_filter_timing(), elliptic_resources(rate))
-    if name_or_path == "fir":
-        from repro.designs import FIR_PINS, fir_design
-        return fir_design(), FIR_PINS, ar_filter_timing(), None
-    if name_or_path == "dct":
-        from repro.designs import DCT_PINS, dct_design
-        return dct_design(), DCT_PINS, ar_filter_timing(), None
-    if name_or_path.startswith("ar-stacked-"):
-        try:
-            copies = int(name_or_path[len("ar-stacked-"):])
-        except ValueError:
-            copies = 0
-        if copies >= 1:
-            return (ar_stacked_design(copies), ar_stacked_pins(copies),
-                    ar_filter_timing(), None)
-    graph, partitioning = load_design(name_or_path)
-    return graph, partitioning, ar_filter_timing(), None
+    from repro.explore.worker import resolve_timing
+    space = _design_space(name_or_path)
+    resources = (space.resources_for(rate)
+                 if space.resources_for is not None else None)
+    return (space.graph, space.partitioning, resolve_timing(space.timing),
+            resources)
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -262,22 +243,14 @@ def _bool_axis(text: str):
 def cmd_explore(args) -> int:
     """Sweep the design space and emit a Pareto report."""
     _configure_obs(args)
-    from repro.designs import elliptic_resources
-    from repro.explore import (DesignSpace, Executor, SweepSpec,
-                               build_report, write_report)
+    from repro.explore import (Executor, SweepSpec, build_report,
+                               write_report)
     from repro.explore.cache import open_result_cache
 
     rates = _csv(args.rates, int)
     if not rates:
         raise ReproError("--rates needs at least one initiation rate")
-    graph, pins, _timing, _resources = _load(args.design, rates[0])
-    timing_name = ("elliptic" if args.design.startswith("elliptic")
-                   else "ar")
-    resources_for = (elliptic_resources
-                     if args.design.startswith("elliptic") else None)
-    design = DesignSpace(name=args.design, graph=graph,
-                         partitioning=pins, timing=timing_name,
-                         resources_for=resources_for)
+    design = _design_space(args.design)
 
     axes = {"rate": rates,
             "flow": _csv(args.flows, str)}

@@ -21,7 +21,6 @@ chance of finding a solution; the worst case stays exponential
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cdfg.graph import Cdfg, Node
@@ -106,19 +105,11 @@ class ConnectionSearch:
             self._unassigned_bits[node.dest_partition] += node.bit_width
 
     # ------------------------------------------------------------------
-    # The historical attribute names, kept as views of the ledger (the
-    # gain tests poke them directly).
+    # The historical attribute name, kept as a view of the ledger (the
+    # gain tests poke it directly).
     @property
     def _pins_used(self) -> Dict[int, int]:
         return self.pins.used
-
-    @property
-    def _pins_out(self) -> Dict[int, int]:
-        return self.pins.out_used
-
-    @property
-    def _pins_in(self) -> Dict[int, int]:
-        return self.pins.in_used
 
     # ------------------------------------------------------------------
     def value_key(self, node: Node) -> str:
@@ -318,14 +309,3 @@ class ConnectionSearch:
     def _book_pins(self, delta: Mapping[int, Tuple[int, int]]) -> None:
         self.pins.book(delta)
 
-
-def synthesize_connection(graph: Cdfg, partitioning: Partitioning,
-                          initiation_rate: int,
-                          branching_factor: int = 2,
-                          share_groups: Optional[Mapping[str, str]] = None,
-                          ) -> Tuple[Interconnect, BusAssignment]:
-    """Convenience wrapper around :class:`ConnectionSearch`."""
-    search = ConnectionSearch(graph, partitioning, initiation_rate,
-                              branching_factor=branching_factor,
-                              share_groups=share_groups)
-    return search.run()

@@ -45,7 +45,7 @@ from repro.core.oracle_store import (INIT_GROUP, INIT_NODE, OracleStore,
 from repro.errors import IlpError, InfeasibleError
 from repro.ilp import (DualAllIntegerSolver, Model, Var, WarmBasis, lsum,
                        solve_ilp)
-from repro.ilp.model import LinExpr, SolveStatus
+from repro.ilp.model import SolveStatus
 from repro.ilp.simplex import solve_lp
 from repro.io_json import graph_to_dict
 from repro.partition.model import OUTSIDE_WORLD, Partitioning
@@ -260,13 +260,6 @@ class PinAllocationProblem:
         model.minimize(0)
 
     # ------------------------------------------------------------------
-    def _input_pins_bound(self, index: int):
-        """(expression, rhs) such that input load <= expr form works."""
-        spec = self.partitioning.chip(index)
-        if spec.split_fixed:
-            return None, spec.input_pins
-        return self.o[index], spec.total_pins
-
     def _build_chip(self, index: int, ios: List[Node],
                     values: Dict[str, List[Node]]) -> None:
         model, L = self.model, self.L
@@ -928,14 +921,6 @@ class PinAllocationChecker:
         for prefix, op, group in self._trail:
             self._store.record((self._sig, prefix, op, group),
                                self._budget_vec, True, witness=usage)
-
-    def oracle_stats(self) -> Dict[str, int]:
-        """Checker-level cache/store hit counts (for flow stats)."""
-        return {
-            "checks": self.checks,
-            "cache_hits": self.cache_hits,
-            "store_hits": self.store_hits,
-        }
 
     # ---------------------------------------------------------------
     def _sharing_consistent(self, node: Node, step: int,

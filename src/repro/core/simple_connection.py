@@ -20,7 +20,7 @@ verifies its no-conflict property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.cdfg.graph import Cdfg, Node
 from repro.core.interconnect import Bus, Interconnect
@@ -63,15 +63,6 @@ def build_simple_connection(graph: Cdfg,
     result = SimpleConnectionResult(interconnect)
     next_bus = [1]
     handled_edges: Set[Tuple[int, int]] = set()
-
-    def io_entries(src: int, dst: int) -> Dict[int, List[Node]]:
-        """Group -> I/O nodes for the (src, dst) partition pair."""
-        per_group: Dict[int, List[Node]] = {}
-        for node in graph.io_nodes():
-            if node.source_partition == src and node.dest_partition == dst:
-                group = schedule.group(node.name)
-                per_group.setdefault(group, []).append(node)
-        return per_group
 
     # Fan-out stars: f drives exactly {a, b}.
     for f, dsts in sorted(drives.items()):

@@ -14,6 +14,12 @@ exactly that tuple, so:
   (:func:`options_fingerprint`), so e.g. a ``schedule-first`` point is
   cached once no matter which ``branching_factor`` the grid happened to
   carry alongside it.
+
+The graph is by far the largest part of that tuple, so its canonical
+form is serialized once per graph object (:func:`canonical_graph`, one
+memo slot on the graph, dropped by any mutation) and shared by
+:func:`graph_digest` and :func:`job_key`; the hashed bytes are those of
+the whole payload's canonical dump, exactly.
 """
 
 from __future__ import annotations
@@ -71,12 +77,19 @@ def resources_fingerprint(resources: Optional[Mapping]) -> Optional[Dict]:
     return out
 
 
+def canonical_graph(graph: Cdfg) -> str:
+    """The graph's canonical JSON, memoized on the graph (one slot,
+    dropped by any mutation) so it is serialized once per distinct
+    graph object."""
+    return graph.memo("canonical", None,
+                      lambda: canonical_dumps(graph_to_dict(graph)))
+
+
 def graph_digest(graph: Cdfg) -> str:
     """sha256 hex of the graph's canonical form, memoized on the graph
-    (one slot, dropped by any mutation) so it is computed once per
-    distinct graph object."""
+    like the form itself."""
     return graph.memo("digest", None, lambda: hashlib.sha256(
-        canonical_dumps(graph_to_dict(graph)).encode("utf-8")).hexdigest())
+        canonical_graph(graph).encode("utf-8")).hexdigest())
 
 
 def job_key(graph, partitioning, rate: int,
@@ -84,14 +97,18 @@ def job_key(graph, partitioning, rate: int,
             timing: str = "ar",
             resources: Optional[Mapping] = None) -> str:
     """Content hash (sha256 hex) identifying one sweep point."""
-    payload = {
+    rest = {
         "v": 1,
-        "graph": graph_to_dict(graph),
         "partitioning": partitioning_to_dict(partitioning),
         "rate": int(rate),
         "timing": timing,
         "options": options_fingerprint(options),
         "resources": resources_fingerprint(resources),
     }
-    blob = canonical_dumps(payload).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    # The hashed bytes are canonical_dumps() of the whole payload, with
+    # the graph under "graph".  That key sorts first, so the dump is
+    # '{"graph":' + the graph's canonical form + ',' + the dump of the
+    # rest without its opening brace.
+    blob = ('{"graph":' + canonical_graph(graph) + ","
+            + canonical_dumps(rest)[1:])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -324,20 +324,27 @@ def optimistic_metrics(job: SweepJob) -> Dict[str, float]:
     may skip it.  Bounds must be sound, never tight: chip count is
     exact; latency is the critical path; every chip (and the outside
     world) needs at least one port as wide as its widest crossing
-    value; one bus suffices only if anything crosses at all.
+    value; one bus suffices only if anything crosses at all.  The
+    graph's bounds are memoized on the graph per timing library;
+    only the chip count is computed per partitioning.
     """
-    timing = resolve_timing(job.timing)
+    bounds = job.graph.memo("optimistic", job.timing,
+                            lambda: _graph_bounds(job.graph, job.timing))
+    return {"chips": len(job.partitioning.real_chips()), **bounds}
+
+
+def _graph_bounds(graph: Cdfg, timing_name: str) -> Dict[str, float]:
     from repro.cdfg.analysis import critical_path_length
 
     widest: Dict[int, int] = {}
-    for node in job.graph.io_nodes():
+    for node in graph.io_nodes():
         for chip in (node.source_partition, node.dest_partition):
             if chip is None:
                 continue
             widest[chip] = max(widest.get(chip, 0), node.bit_width)
     return {
-        "chips": len(job.partitioning.real_chips()),
         "buses": 1 if widest else 0,
         "total_pins": sum(widest.values()),
-        "latency": critical_path_length(job.graph, timing),
+        "latency": critical_path_length(graph,
+                                        resolve_timing(timing_name)),
     }

@@ -9,6 +9,13 @@ reuse is what makes request coalescing sound — a ``/v1/synthesize``
 request, a ``/v1/sweep`` point, and a CLI ``repro explore`` point with
 the same content all hash to the same :func:`repro.explore.keys.job_key`
 and therefore share one solve and one cache entry.
+
+Each fixed built-in name's :class:`DesignSpace` is built once per
+process, on first use, and shared read-only after that: its graph's
+memos (the canonical form that keys hash, the pruning bounds) then hit
+on every later request.  No solve mutates a graph, so sharing one is
+safe.  Other ``ar-stacked-N`` names and inline designs are built
+afresh on every call.
 """
 
 from __future__ import annotations
@@ -27,11 +34,20 @@ _BUILTINS = ("ar-simple", "ar-general", "ar-general-bidir",
              "ar-stacked-2", "ar-stacked-4",
              "elliptic", "elliptic-bidir", "fir", "dct")
 
+#: One shared space per ``_BUILTINS`` name, built on first use.
+_SPACES: Dict[str, DesignSpace] = {}
+
 
 def design_space(design: Union[str, Mapping[str, Any]]) -> DesignSpace:
     """A :class:`DesignSpace` for a built-in name or an inline design."""
     if isinstance(design, str):
-        return _builtin_space(design)
+        space = _SPACES.get(design)
+        if space is None:
+            space = _builtin_space(design)
+            if design in _BUILTINS:
+                # Racing builders all get the one space stored first.
+                space = _SPACES.setdefault(design, space)
+        return space
     if isinstance(design, Mapping):
         try:
             graph = graph_from_dict(design["graph"])

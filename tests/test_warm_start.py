@@ -524,20 +524,25 @@ class TestWarmExecutorEqualsCold:
                 for chain in chains] == [[False, False], [True, True]]
 
     def test_chain_keys_hash_each_graph_once(self, monkeypatch):
-        """The chain key's graph digest is memoized on the graph, so a
-        sweep over two port models hashes the graph once, not once per
-        job."""
+        """The graph's canonical form is memoized on the graph, so
+        keying a sweep over two port models and chaining it serializes
+        the graph once, not once per job key plus once for the chain
+        key.  The space is built fresh: the catalog's shared graph may
+        already be serialized by an earlier test."""
         from repro.explore import keys
 
-        spec = SweepSpec(axes={
-            "rate": [2], "flow": ["simple"],
-            "port_model": ["unidirectional", "bidirectional"],
-            "pin_scale": [2.0, 1.9]})
-        jobs = spec.expand(design_space("ar-stacked-2"))
         hashed = []
         serialize = keys.graph_to_dict
         monkeypatch.setattr(keys, "graph_to_dict", lambda graph: (
             hashed.append(graph.name), serialize(graph))[1])
+        spec = SweepSpec(axes={
+            "rate": [2], "flow": ["simple"],
+            "port_model": ["unidirectional", "bidirectional"],
+            "pin_scale": [2.0, 1.9]})
+        jobs = spec.expand(DesignSpace(
+            name="ar-stacked-2", graph=ar_stacked_design(2),
+            partitioning=ar_stacked_pins(2)))
+        assert len(jobs) == 4
         chains = Executor(warm=True)._chains(jobs)
         assert [len(chain) for chain in chains] == [2, 2]
         assert hashed == ["ar-stacked-2"]
