@@ -255,28 +255,30 @@ def test_e7_5_tdm_advisor(benchmark, record_table):
     assert result.verify() == []
 
 
-def test_e7_6_postponement_rescues_rate_6(benchmark, record_table):
-    """The Section 5.3 'constrain and rerun' loop, automated."""
+def test_e7_6_postponement_not_reproduced(benchmark, record_table):
+    """The Section 5.3 'constrain and rerun' loop has nothing to do on
+    its own experiment: plain list scheduling meets the elliptic loop
+    deadline at rate 6 in one run."""
     from repro.core.connection_search import ConnectionSearch
     from repro.designs import (ELLIPTIC_PINS_UNIDIR, elliptic_design,
                                elliptic_resources)
     from repro.modules.library import elliptic_filter_timing
-    from repro.scheduling import schedule_with_postponement
 
     graph = elliptic_design()
     timing = elliptic_filter_timing()
     ic, init = ConnectionSearch(graph, ELLIPTIC_PINS_UNIDIR, 6).run()
 
     def run():
-        return schedule_with_postponement(
-            graph, timing, 6, elliptic_resources(6),
-            hooks_factory=lambda: BusAllocator(graph, ic, init.copy(),
-                                               6))
+        return ListScheduler(graph, timing, 6, elliptic_resources(6),
+                             io_hooks=BusAllocator(graph, ic, init,
+                                                   6)).run()
 
     schedule = one_shot(benchmark, run)
     assert schedule.verify(elliptic_resources(6)) == []
+    assert schedule.pipe_length == 24
     record_table(
         "sec5.3_postponement",
-        f"elliptic rate 6 with automated postponement: pipe "
-        f"{schedule.pipe_length} (plain greedy list scheduling on the "
-        f"same connection can miss the loop deadline)")
+        f"elliptic rate 6, plain list scheduling in one run: pipe "
+        f"{schedule.pipe_length}. The automated postponement loop is "
+        f"not reproduced: list scheduling already meets the loop "
+        f"deadline, so there is nothing to postpone.")

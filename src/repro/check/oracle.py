@@ -220,10 +220,11 @@ def run_differential(graph, partitioning, timing, initiation_rate,
     ``schedulers`` widens the participant set along the backend axis:
     each flow runs once per requested scheduler backend that supports
     it (see :func:`repro.pipeline.scheduler_names`), so e.g.
-    ``schedulers=("list", "modulo")`` pits the modulo scheduler
-    against the list baseline — and, through the flow axis, against
-    FDS — on one design.  A deprecated alias (``heap``) resolves to
-    its canonical name and adds no participant of its own.
+    ``schedulers=("list", "mine")`` pits a registered ``mine``
+    backend against the list baseline — and, through the flow axis,
+    against FDS — on one design.  A deprecated alias (``heap``,
+    ``modulo``, ``postpone``) resolves to its canonical name and adds
+    no participant of its own.
 
     Returns an :class:`OracleReport`; ``report.ok`` means no flow
     produced a dirty result, no feasibility disagreement, and no clean

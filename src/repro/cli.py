@@ -539,9 +539,9 @@ def _add_flow_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheduler", default="list",
                         help="scheduler backend for the simple and "
                              "connection-first flows: any name in the "
-                             "backend registry (built-ins: list, "
-                             "postpone, modulo; default list; heap is "
-                             "a deprecated alias of list)")
+                             "backend registry (built-in: list, the "
+                             "default; heap, modulo and postpone are "
+                             "deprecated aliases of list)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,9 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 2)")
     p_exp.add_argument("--schedulers", default="list",
                        help="scheduler axis: comma-separated backend "
-                            "registry names (e.g. list,modulo,postpone; "
-                            "a deprecated alias such as heap shares its "
-                            "canonical name's points and cache keys)")
+                            "registry names (default list; a deprecated "
+                            "alias such as heap, modulo or postpone "
+                            "shares its canonical name's points and "
+                            "cache keys)")
     p_exp.add_argument("--slot-reserves", default="0",
                        help="comma-separated bus-slot reserves "
                             "(default: 0)")

@@ -18,9 +18,10 @@ Every flow is a declarative pass list in the pass-pipeline registry
 types and the dispatch/degradation policy, while the flow *bodies*
 live as passes in :mod:`repro.pipeline.passes` running over a typed
 :class:`repro.pipeline.context.FlowContext`.  Scheduler backends
-(``list``, ``postpone``, ``modulo``, ``fds``) are registry
-entries too — :func:`repro.pipeline.register_scheduler` plugs new ones
-into the flows, the CLI, the explorer, and the differential oracle.
+(``list`` for the simple and connection-first flows, ``fds`` for
+schedule-first) are registry entries too —
+:func:`repro.pipeline.register_scheduler` plugs new ones into the
+flows, the CLI, the explorer, and the differential oracle.
 
 Every flow ends in one run of the design-rule checker
 (:func:`repro.check.check_result`) over its :class:`SynthesisResult` —

@@ -15,7 +15,7 @@ fully determines reachability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cdfg.graph import Node
 from repro.errors import ConnectionError_
@@ -109,11 +109,6 @@ class Bus:
                 f"{self.index} from segment {start}")
         return spanned
 
-    def connected_partitions(self) -> List[int]:
-        parts = (set(self.out_widths) | set(self.in_widths)
-                 | set(self.bi_widths))
-        return sorted(parts)
-
     def topology(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """(source partitions, destination partitions) — Section 4.1.2's
         notion of two buses having the same topology."""
@@ -171,9 +166,6 @@ class Interconnect:
 
     def pin_report(self, partitions: Iterable[int]) -> Dict[int, int]:
         return {p: self.pins_used(p) for p in partitions}
-
-    def capable_buses(self, io: Node) -> List[Bus]:
-        return [bus for bus in self.buses if bus.capable(io)]
 
     def pins_used_split(self, partition: int) -> Tuple[int, int]:
         """(output, input) pins used — meaningful for unidirectional

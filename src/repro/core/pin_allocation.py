@@ -549,8 +549,7 @@ class PinAllocationChecker:
     memoizes verdicts under a canonical fingerprint of the committed
     set; the list scheduler re-probes equivalent states constantly
     (priority ties within a step, the same group recurring every L
-    steps, postpone/retry passes), and each hit skips a full
-    cutting-plane probe.
+    steps), and each hit skips a full cutting-plane probe.
 
     Graceful degradation
     --------------------

@@ -23,12 +23,12 @@ Recognized axes
 ``subbus_sharing``    Chapter 6 sub-bus segments on/off;
 ``slot_reserve``      bus slots held back during connection synthesis;
 ``branching_factor``  connection-search beam width;
-``scheduler``         any registered backend name (``list`` /
-                      ``postpone`` / ``modulo`` plus third-party
-                      registrations — see
+``scheduler``         any registered backend name (``list`` plus
+                      third-party registrations — see
                       :func:`repro.pipeline.scheduler_names`); a
-                      deprecated alias such as ``heap`` resolves to
-                      its canonical name and shares its cache keys;
+                      deprecated alias such as ``heap``, ``modulo``
+                      or ``postpone`` resolves to its canonical name
+                      and shares its cache keys;
 ``pipe_length``       schedule-first pipe budget;
 ``auto_partition``    ``{"n_chips": k, "seed": s, ["pins": p,
                       "world_pins": w]}`` — run the

@@ -9,7 +9,7 @@ path search, so that is literally what runs here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Callable, Dict, Hashable, Iterable, Optional, Set
 
 Left = Hashable
 Right = Hashable
@@ -37,9 +37,6 @@ class BipartiteMatcher:
         if right not in self.match_of_right:
             raise KeyError(f"cannot pin unmatched slot {right!r}")
         self._pinned.add(right)
-
-    def unpin(self, right: Right) -> None:
-        self._pinned.discard(right)
 
     def assign(self, left: Left, right: Right) -> None:
         """Force an assignment (caller guarantees the slot is free)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import IlpError
 
@@ -249,10 +249,6 @@ class Model:
             constraint.name = name
         self.constraints.append(constraint)
         return constraint
-
-    def add_all(self, constraints: Iterable[Constraint]) -> None:
-        for constraint in constraints:
-            self.add(constraint)
 
     def minimize(self, expr) -> None:
         self.objective = LinExpr._coerce(expr)

@@ -224,9 +224,6 @@ class Tableau:
     def rhs(self, i: int) -> Fraction:
         return Fraction(self._rhs_num[i], self._dens[i])
 
-    def cost_entry(self, j: int) -> Fraction:
-        return Fraction(self._cost_nums.get(j, 0), self._cost_den)
-
     def objective_value(self) -> Fraction:
         return -Fraction(self._cost_rhs, self._cost_den)
 

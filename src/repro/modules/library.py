@@ -10,7 +10,7 @@ timing styles are expressible here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.cdfg.graph import Node
@@ -71,9 +71,6 @@ class ModuleSet:
 
     def __contains__(self, op_type: str) -> bool:
         return op_type in self._modules
-
-    def op_types(self):
-        return sorted(self._modules)
 
 
 class DesignTiming:

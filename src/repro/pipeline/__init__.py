@@ -15,8 +15,8 @@ Third-party scheduler registration (see docs/api.md)::
 
     from repro.pipeline import register_scheduler
 
-    def my_backend(graph, timing, rate, resources, hooks_factory,
-                   budget, diagnostics):
+    def my_backend(graph, timing, rate, resources, hooks, budget,
+                   diagnostics):
         ...  # return a finished repro.scheduling.base.Schedule
 
     register_scheduler("mine", my_backend,

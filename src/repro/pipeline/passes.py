@@ -9,14 +9,13 @@ semantics — so a registry-dispatched run is byte-identical to the old
 bespoke call path.
 
 Scheduling passes resolve ``options.scheduler`` against the backend
-registry, so backends (postponement rounds, modulo scheduling,
-third-party schedulers) plug into the Chapter 3 and Chapter 4/6 flows
-without any flow-specific wiring.
+registry, so third-party schedulers plug into the Chapter 3 and
+Chapter 4/6 flows without any flow-specific wiring.
 """
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import Protocol
 
 from repro.cdfg.validate import validate_cdfg
 from repro.core.bus_assignment import BusAllocator
@@ -150,30 +149,21 @@ class SchedulePinChecked:
     """List scheduling gated by the ILP pin-allocation checker.
 
     The selected backend draws its functional-unit pool from the
-    resource table and its I/O feasibility from a fresh
-    :class:`PinAllocationChecker`; backends that retry (modulo) get a
-    fresh checker per attempt, and the last one speaks for the run.
+    resource table and its I/O feasibility from the run's one
+    :class:`PinAllocationChecker`.
     """
 
     name = "schedule"
 
     def run(self, ctx: FlowContext) -> None:
         backend = _resolved_backend(ctx, "simple")
-        opts = ctx.options
-        created: List[PinAllocationChecker] = []
-
-        def hooks_factory():
-            checker = PinAllocationChecker(
-                ctx.graph, ctx.partitioning, ctx.initiation_rate,
-                method=opts.pin_method, budget=ctx.token,
-                diagnostics=ctx.diag, warm_basis=ctx.warm_basis)
-            created.append(checker)
-            return checker
-
+        ctx.checker = PinAllocationChecker(
+            ctx.graph, ctx.partitioning, ctx.initiation_rate,
+            method=ctx.options.pin_method, budget=ctx.token,
+            diagnostics=ctx.diag, warm_basis=ctx.warm_basis)
         ctx.schedule = backend.run_scheduler(
             ctx.graph, ctx.timing, ctx.initiation_rate,
-            ctx.table.modules, hooks_factory, ctx.token, ctx.diag)
-        ctx.checker = created[-1]
+            ctx.table.modules, ctx.checker, ctx.token, ctx.diag)
         ctx.checker.finalize()
 
 
@@ -235,32 +225,22 @@ class SearchConnections:
 class ScheduleBusAllocated:
     """Scheduling with dynamic bus (re)assignment hooks.
 
-    Every backend receives a factory producing fresh
-    :class:`BusAllocator` hooks over the searched interconnect; backends
-    that retry (postponement rounds, modulo's unguided rung) consume
-    one per attempt.  The last allocator's assignment is final.
+    The selected backend receives the run's one :class:`BusAllocator`
+    over the searched interconnect; its assignment is final.
     """
 
     name = "schedule"
 
     def run(self, ctx: FlowContext) -> None:
         backend = _resolved_backend(ctx, "connection-first")
-        opts = ctx.options
-        created: List[BusAllocator] = []
-
-        def hooks_factory():
-            # BusAllocator copies the initial assignment and never
-            # writes to it, so every attempt can share ctx.initial.
-            allocator = BusAllocator(ctx.graph, ctx.interconnect,
-                                     ctx.initial, ctx.initiation_rate,
-                                     reassignment=opts.reassignment)
-            created.append(allocator)
-            return allocator
-
+        # BusAllocator copies the initial assignment and never writes
+        # to it, so ctx.initial stays the search's answer.
+        ctx.allocator = BusAllocator(
+            ctx.graph, ctx.interconnect, ctx.initial,
+            ctx.initiation_rate, reassignment=ctx.options.reassignment)
         ctx.schedule = backend.run_scheduler(
             ctx.graph, ctx.timing, ctx.initiation_rate,
-            ctx.table.modules, hooks_factory, ctx.token, ctx.diag)
-        ctx.allocator = created[-1]
+            ctx.table.modules, ctx.allocator, ctx.token, ctx.diag)
 
 
 class BuildConnectionFirstResult:

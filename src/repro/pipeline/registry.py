@@ -13,16 +13,15 @@ Two registries live here:
   :func:`repro.core.flow.synthesize` dispatches exclusively through
   this table — there is no bespoke per-flow call path left.
 
-* **Scheduler backend registry** — every scheduler the Chapter 3/4/6
-  flows can drive is a :class:`SchedulerBackend` entry; the built-ins
-  are ``list`` (Figure 3.4 list scheduling on one (step, round)
-  heap), ``postpone`` (iterative postponement rounds on the same
-  engine), ``modulo`` (IMS placement legalized by the same engine),
-  and ``fds`` (the time-constrained Chapter 5 scheduler).  ``heap``
-  is a deprecated alias of ``list``.  Third parties add their own
-  with :func:`register_scheduler`; registered names are
-  automatically valid ``--scheduler`` / explorer-axis values and
-  differential-oracle participants.
+* **Scheduler backend registry** — every scheduler the flows can
+  drive is a :class:`SchedulerBackend` entry.  Each flow has one
+  built-in: ``list`` (Figure 3.4 list scheduling on one (step, round)
+  heap) for the simple and connection-first flows, and ``fds`` (the
+  time-constrained Chapter 5 scheduler) for schedule-first.  ``heap``,
+  ``modulo`` and ``postpone`` are deprecated aliases of ``list``.
+  Third parties add their own with :func:`register_scheduler`;
+  registered names are automatically valid ``--scheduler`` /
+  explorer-axis values and differential-oracle participants.
 """
 
 from __future__ import annotations
@@ -41,15 +40,19 @@ from repro.pipeline.context import FlowContext
 
 #: Deprecated scheduler spellings -> canonical registry names.  Kept
 #: working so pre-registry archives, sweep specs, and scripts load
-#: unchanged; resolving one records a diagnostics warning.
+#: unchanged; the names of deleted backends (``heap``, ``modulo``,
+#: ``postpone``) get ``list``'s answer.  Resolving one records a
+#: diagnostics warning.
 DEPRECATED_SCHEDULER_ALIASES = {
     "list_scheduler": "list",
     "list-scheduler": "list",
-    "postponement": "postpone",
-    "postponed": "postpone",
     "force-directed": "fds",
     "force_directed": "fds",
     "heap": "list",
+    "modulo": "list",
+    "postpone": "list",
+    "postponement": "list",
+    "postponed": "list",
 }
 
 
@@ -61,11 +64,10 @@ class SchedulerBackend:
 
     * the ``simple`` and ``connection-first`` schedule passes call
       :meth:`run_scheduler`, i.e. ``factory(graph, timing, rate,
-      resources, hooks_factory, budget, diagnostics)``, which must
-      return a finished :class:`Schedule`.  ``hooks_factory`` yields a
-      fresh :class:`IoHooks` per call; backends that run several
-      attempts (postponement rounds, modulo legalization retries) call
-      it once per attempt.
+      resources, hooks, budget, diagnostics)``, which must return a
+      finished :class:`Schedule`.  ``hooks`` is the flow's one
+      :class:`IoHooks` (pin checker or bus allocator); the backend
+      makes one attempt with it.
     * the ``schedule-first`` flow calls :meth:`run_time_scheduler` on
       the ``fds`` entry, i.e. ``factory(graph, timing, rate,
       pipe_length, budget, diagnostics)``.
@@ -76,10 +78,10 @@ class SchedulerBackend:
     flows: Tuple[str, ...] = ("simple", "connection-first")
     description: str = ""
 
-    def run_scheduler(self, graph, timing, rate, resources,
-                      hooks_factory, budget, diagnostics):
-        return self.factory(graph, timing, rate, resources,
-                            hooks_factory, budget, diagnostics)
+    def run_scheduler(self, graph, timing, rate, resources, hooks,
+                      budget, diagnostics):
+        return self.factory(graph, timing, rate, resources, hooks,
+                            budget, diagnostics)
 
     def run_time_scheduler(self, graph, timing, rate, pipe_length,
                            budget, diagnostics):
@@ -147,27 +149,11 @@ def resolve_scheduler(name: str, diag=None) -> str:
 
 
 # -- built-in backends -------------------------------------------------
-def _run_list(graph, timing, rate, resources, hooks_factory, budget,
+def _run_list(graph, timing, rate, resources, hooks, budget,
               diagnostics):
     from repro.scheduling.list_scheduler import ListScheduler
     return ListScheduler(graph, timing, rate, resources,
-                         io_hooks=hooks_factory(), budget=budget).run()
-
-
-def _run_postpone(graph, timing, rate, resources, hooks_factory,
-                  budget, diagnostics):
-    from repro.scheduling.postpone import schedule_with_postponement
-    return schedule_with_postponement(graph, timing, rate, resources,
-                                      hooks_factory=hooks_factory,
-                                      budget=budget)
-
-
-def _run_modulo(graph, timing, rate, resources, hooks_factory, budget,
-                diagnostics):
-    from repro.scheduling.modulo import ModuloScheduler
-    return ModuloScheduler(graph, timing, rate, resources,
-                           hooks_factory=hooks_factory, budget=budget,
-                           diagnostics=diagnostics).run()
+                         io_hooks=hooks, budget=budget).run()
 
 
 def _run_fds(graph, timing, rate, pipe_length, budget, diagnostics):
@@ -180,14 +166,6 @@ register_scheduler(
     "list", _run_list,
     description="priority list scheduling on a (step, round) heap "
                 "(Figure 3.4)")
-register_scheduler(
-    "postpone", _run_postpone,
-    flows=("connection-first",),
-    description="list scheduling with iterative postponement rounds")
-register_scheduler(
-    "modulo", _run_modulo,
-    description="IMS modulo placement at II=L, legalized by list "
-                "scheduling")
 register_scheduler(
     "fds", _run_fds, flows=("schedule-first",),
     description="time-constrained force-directed scheduling "

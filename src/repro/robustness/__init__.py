@@ -6,7 +6,7 @@ make every flow budget-aware:
 
 * :class:`SolveBudget` / :class:`BudgetToken` — a frozen effort budget
   and the cooperative cancellation token threaded through the ILP
-  kernel, both connection engines, and all three schedulers;
+  kernel, both connection engines, and both schedulers;
 * :class:`Deadline` — the shared monotonic wall clock;
 * :class:`BudgetExhausted` — the typed give-up signal carrying
   structured progress (phase, iterations, best incumbent);

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cdfg.graph import Cdfg, Node
+from repro.cdfg.graph import Cdfg
 from repro.cdfg.ops import OpKind
-from repro.errors import SchedulingError
 from repro.scheduling.base import Schedule, _pipelined
 from repro.scheduling.constraints import AllocationWheel
 
@@ -41,9 +40,6 @@ class FuBinding:
 
     def units(self) -> List[UnitId]:
         return sorted(set(self.unit_of.values()))
-
-    def ops_on(self, unit: UnitId) -> List[str]:
-        return sorted(op for op, u in self.unit_of.items() if u == unit)
 
     def unit_counts(self) -> Dict[Tuple[int, str], int]:
         counts: Dict[Tuple[int, str], int] = {}

@@ -9,13 +9,11 @@ transfer must land in the same control step.
   checker of Chapter 3 or the bus-availability/reassignment logic of
   Chapter 4), chaining, multi-cycle allocation wheels and
   recursive-edge deadline checks.  One heap keyed by (step, round)
-  drives it; the ``list``, ``postpone`` and ``modulo`` backends all
-  run on it.
+  drives it; it is the ``list`` backend of the simple and
+  connection-first flows.
 * :mod:`repro.scheduling.fds` — force-directed scheduling (Chapter 5)
-  minimizing resource concurrency under a pipe-length constraint.
-* :mod:`repro.scheduling.modulo` — pipeline/modulo scheduling at
-  ``II = L`` with MII fail-fast and list-scheduler legalization (the
-  ``modulo`` backend).
+  minimizing resource concurrency under a pipe-length constraint; the
+  ``fds`` backend of the schedule-first flow.
 """
 
 from repro.scheduling.base import Schedule, ResourcePool, measured_resources
@@ -29,9 +27,7 @@ from repro.scheduling.list_scheduler import (
     NullIoHooks,
     DeadlineMissed,
 )
-from repro.scheduling.postpone import schedule_with_postponement
 from repro.scheduling.fds import ForceDirectedScheduler
-from repro.scheduling.modulo import ModuloScheduler, resource_mii
 
 __all__ = [
     "Schedule",
@@ -43,8 +39,5 @@ __all__ = [
     "IoHooks",
     "NullIoHooks",
     "DeadlineMissed",
-    "schedule_with_postponement",
     "ForceDirectedScheduler",
-    "ModuloScheduler",
-    "resource_mii",
 ]

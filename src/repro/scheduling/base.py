@@ -10,7 +10,7 @@ pipeline instances and therefore compete for hardware (Section 2.3.1).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cdfg.analysis import TimingSpec, _EPS
 from repro.cdfg.graph import Cdfg, Node
@@ -90,11 +90,6 @@ class Schedule:
         L = self.initiation_rate
         return sorted(n for n, s in self.start_step.items()
                       if s % L == group)
-
-    def io_schedule(self) -> Dict[str, int]:
-        return {n.name: self.start_step[n.name]
-                for n in self.graph.io_nodes()
-                if n.name in self.start_step}
 
     # ------------------------------------------------------------------
     def verify(self,
@@ -178,22 +173,6 @@ class ResourcePool:
                 wheel.release(step, cycles)
                 return capacity
         return None
-
-    def remaining_capacity(self, partition: int, op_type: str,
-                           cycles: int) -> int:
-        """How many more ``cycles``-cycle ops of this type still fit."""
-        units = self._units(partition, op_type)
-        if units <= 0:
-            return 0
-        if cycles > 1:
-            wheels = self._wheels.get(
-                (partition, op_type),
-                [AllocationWheel(self.L) for _ in range(units)])
-            return sum(w.capacity(cycles) for w in wheels)
-        total = units * self.L
-        used = sum(count for (p, t, _g), count in self._counts.items()
-                   if p == partition and t == op_type)
-        return total - used
 
 
 def measured_resources(schedule: Schedule) -> ResourceVector:

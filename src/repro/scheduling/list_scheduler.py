@@ -29,7 +29,7 @@ remaining operations of that type.
 
 The engine reads the design's budget-independent facts from a
 :class:`CompiledDesign`, memoized on the graph, so a pin-budget sweep
-and the retries of ``postpone`` and ``modulo`` compile it once.
+compiles it once.
 """
 
 from __future__ import annotations
@@ -73,15 +73,12 @@ class NullIoHooks:
 
 
 class DeadlineMissed(SchedulingError):
-    """A recursive max-time deadline was missed; carries diagnostics
-    for :mod:`repro.scheduling.postpone`."""
+    """A recursive max-time deadline was missed; ``failed_op`` names
+    the producer that missed it."""
 
-    def __init__(self, message: str, failed_op: str, deadline: int,
-                 partial: Schedule) -> None:
+    def __init__(self, message: str, failed_op: str) -> None:
         super().__init__(message)
         self.failed_op = failed_op
-        self.deadline = deadline
-        self.partial = partial
 
 
 def critical_path_ns(graph: Cdfg, timing: TimingSpec) -> Dict[str, float]:
@@ -217,13 +214,11 @@ class ListScheduler:
                  resources: ResourceVector,
                  io_hooks: Optional[IoHooks] = None,
                  max_steps: Optional[int] = None,
-                 min_steps: Optional[Dict[str, int]] = None,
                  budget=None) -> None:
         self.graph = graph
         self.timing = timing
         self.L = initiation_rate
         self.resources = dict(resources)
-        self.min_steps = dict(min_steps or {})
         self.hooks: IoHooks = io_hooks or NullIoHooks()
         self.design = compile_design(graph, timing, initiation_rate)
         self.max_steps = max_steps or self.design.max_steps
@@ -232,11 +227,9 @@ class ListScheduler:
 
     # ------------------------------------------------------------------
     def _candidate_step(self, name: str, schedule: Schedule) -> int:
-        """First step worth trying: the data-ready step, raised to any
-        caller-imposed ``min_steps`` (Sec 5.3)."""
+        """First step worth trying: the data-ready step."""
         ready = self._data_ready_ns(name, schedule)
-        step = int(math.floor(ready / self.timing.clock_period + _EPS))
-        return max(step, self.min_steps.get(name, 0))
+        return int(math.floor(ready / self.timing.clock_period + _EPS))
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
@@ -419,9 +412,8 @@ class ListScheduler:
         """Fail fast when a pending producer already missed a deadline.
 
         Of several missed producers the one with the smallest
-        ``(deadline, name)`` is named, so the error (and the culprits
-        :mod:`repro.scheduling.postpone` blames for it) does not depend
-        on set iteration order.
+        ``(deadline, name)`` is named, so the error does not depend on
+        set iteration order.
         """
         design, missed = self.design, []
         for name in design.rec_out:
@@ -438,4 +430,4 @@ class ListScheduler:
             raise DeadlineMissed(
                 f"recursive max-time deadline missed for {name!r} "
                 f"(deadline step {deadline}, now past step {step})",
-                failed_op=name, deadline=deadline, partial=schedule)
+                failed_op=name)

@@ -108,6 +108,9 @@ class Job:
     def finish(self, record: Dict[str, Any]) -> None:
         self.record = record
         self.status = record.get("status", "error")
+        # The payload (the design's whole graph) only feeds the solve;
+        # a finished job may sit in the JobStore for a long time.
+        self.payload = {}
         self._done.set()
 
     async def wait(self, timeout_s: Optional[float] = None) -> bool:

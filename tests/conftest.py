@@ -5,12 +5,12 @@ import pytest
 from repro.pipeline import registry
 
 
-def _early_consumer(graph, timing, rate, resources, hooks_factory,
-                    budget, diagnostics):
+def _early_consumer(graph, timing, rate, resources, hooks, budget,
+                    diagnostics):
     """The list schedule with one consumer pulled a step ahead of its
     producer: a scheduler bug every verifier must catch."""
     schedule = registry.scheduler_backend("list").run_scheduler(
-        graph, timing, rate, resources, hooks_factory, budget, diagnostics)
+        graph, timing, rate, resources, hooks, budget, diagnostics)
     for edge in graph.edges():
         src, dst = graph.node(edge.src), graph.node(edge.dst)
         if edge.is_recursive() or src.is_free() or dst.is_free():

@@ -169,12 +169,19 @@ class TestConditionalSharingFlag:
 
 class TestSchedulerOption:
     def test_postpone_scheduler_through_flow(self):
+        # ``postpone`` is a deprecated alias: it gets list's answer.
         from repro.designs import elliptic_resources
-        result = synthesize_connection_first(
-            elliptic_design(), ELLIPTIC_PINS_UNIDIR,
-            elliptic_filter_timing(), 6,
-            resources=elliptic_resources(6), scheduler="postpone")
+
+        def solve(scheduler):
+            return synthesize_connection_first(
+                elliptic_design(), ELLIPTIC_PINS_UNIDIR,
+                elliptic_filter_timing(), 6,
+                resources=elliptic_resources(6), scheduler=scheduler)
+        result = solve("postpone")
         assert result.verify() == []
+        assert result.schedule.start_step == solve("list").schedule.start_step
+        assert any(e.event == "deprecated_alias"
+                   for e in result.diagnostics.events)
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SchedulingError):

@@ -142,10 +142,8 @@ class TestOneCheckPerSolve:
 class TestSchedulerRegistry:
 
     def test_builtins_registered(self):
-        names = set(scheduler_names())
-        assert {"list", "postpone", "modulo", "fds"} <= names
+        assert scheduler_names() == ["fds", "list"]
         # ``heap`` survives only as a deprecated spelling of ``list``.
-        assert "heap" not in names
         diag = Diagnostics()
         assert resolve_scheduler("heap", diag) == "list"
         events = [e for e in diag.events
@@ -154,9 +152,8 @@ class TestSchedulerRegistry:
             {"alias": "heap", "canonical": "list"}]
 
     def test_names_filtered_by_flow(self):
-        assert scheduler_names("simple") == ["list", "modulo"]
-        assert scheduler_names("connection-first") == [
-            "list", "modulo", "postpone"]
+        assert scheduler_names("simple") == ["list"]
+        assert scheduler_names("connection-first") == ["list"]
         assert scheduler_names("schedule-first") == ["fds"]
         # A point spelled ``heap`` shares the ``list`` point's cache key.
         from repro.core.flow import SynthesisOptions
@@ -168,12 +165,12 @@ class TestSchedulerRegistry:
 
     def test_resolve_alias_records_diagnostics(self):
         diag = Diagnostics()
-        assert resolve_scheduler("postponement", diag) == "postpone"
+        assert resolve_scheduler("postponement", diag) == "list"
         events = [e for e in diag.events
                   if e.event == "deprecated_alias"]
         assert len(events) == 1
         assert events[0].detail == {"alias": "postponement",
-                                    "canonical": "postpone"}
+                                    "canonical": "list"}
 
     def test_resolve_canonical_is_silent(self):
         diag = Diagnostics()
@@ -198,11 +195,10 @@ class TestSchedulerRegistry:
         the front door and produces a checkable result."""
         from repro.scheduling.list_scheduler import ListScheduler
 
-        def tutorial(graph, timing, rate, resources, hooks_factory,
-                     budget, diagnostics):
+        def tutorial(graph, timing, rate, resources, hooks, budget,
+                     diagnostics):
             return ListScheduler(graph, timing, rate, resources,
-                                 io_hooks=hooks_factory(),
-                                 budget=budget).run()
+                                 io_hooks=hooks, budget=budget).run()
 
         register_scheduler("tutorial-backend", tutorial,
                            description="docs example")
@@ -235,14 +231,42 @@ class TestSchedulerRegistry:
         graph, timing = ar_general_design(), ar_filter_timing()
         canonical = synthesize(graph, AR_GENERAL_PINS_UNIDIR, timing,
                                3, flow="connection-first",
-                               scheduler="postpone")
+                               scheduler="list")
         aliased = synthesize(graph, AR_GENERAL_PINS_UNIDIR, timing, 3,
                              flow="connection-first",
-                             scheduler="postponement")
+                             scheduler="list-scheduler")
         assert (aliased.schedule.start_step
                 == canonical.schedule.start_step)
         assert any(e.event == "deprecated_alias"
                    for e in aliased.diagnostics.events)
+
+    @pytest.mark.parametrize("alias", ["modulo", "postpone",
+                                       "postponement", "postponed"])
+    @pytest.mark.parametrize("flow,rate", [("connection-first", 3),
+                                           ("simple", 2)])
+    def test_deleted_backend_name_gets_lists_answer(self, alias, flow,
+                                                    rate):
+        from repro.core.flow import SynthesisOptions
+        from repro.explore.keys import job_key
+        graph, pins = ((ar_general_design(), AR_GENERAL_PINS_UNIDIR)
+                       if flow == "connection-first"
+                       else (ar_simple_design(), AR_SIMPLE_PINS))
+
+        def solve(name):
+            return synthesize(graph, pins, ar_filter_timing(), rate,
+                              flow=flow, scheduler=name)
+
+        def key(name):
+            return job_key(graph, pins, rate,
+                           SynthesisOptions(flow=flow, scheduler=name))
+
+        baseline, aliased = solve("list"), solve(alias)
+        assert (aliased.schedule.start_step
+                == baseline.schedule.start_step)
+        assert [e.detail for e in aliased.diagnostics.events
+                if e.event == "deprecated_alias"] == [
+            {"alias": alias, "canonical": "list"}]
+        assert key(alias) == key("list")
 
 
 # ---------------------------------------------------------------------

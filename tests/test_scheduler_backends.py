@@ -5,10 +5,12 @@ Two contracts:
 * **property** — on the seeded fuzz design stream, whatever a backend
   produces must pass every unified design rule (pin-accounting
   violations are tolerated only when the result openly declares them
-  via ``stats["budget_overruns"]``, the schedule-first contract);
+  via ``stats["budget_overruns"]``, the schedule-first contract); the
+  names of the deleted ``modulo`` and ``postpone`` backends must give
+  ``list``'s exact answer;
 * **differential** — on the built-in benchmarks, the cross-flow oracle
-  widened along the scheduler axis must accept the new backends next
-  to the list and FDS baselines: no dirty result, no feasibility
+  widened along the scheduler axis must accept every backend next to
+  the list and FDS baselines: no dirty result, no feasibility
   disagreement, no checker gap.
 """
 
@@ -25,7 +27,8 @@ from repro.designs import (AR_GENERAL_PINS_BIDIR, AR_GENERAL_PINS_UNIDIR,
                            elliptic_resources)
 from repro.errors import ReproError
 from repro.modules.library import ar_filter_timing, elliptic_filter_timing
-from repro.pipeline import scheduler_backend, scheduler_names
+from repro.pipeline import (resolve_scheduler, scheduler_backend,
+                            scheduler_names)
 from repro.robustness import BudgetExhausted, SolveBudget
 
 #: One driving flow per backend for the property test: random fuzz
@@ -33,7 +36,7 @@ from repro.robustness import BudgetExhausted, SolveBudget
 #: through connection-first and time-constrained ones through
 #: schedule-first.
 def _driving_flow(name):
-    backend = scheduler_backend(name)
+    backend = scheduler_backend(resolve_scheduler(name))
     if "connection-first" in backend.flows:
         return "connection-first"
     return backend.flows[0]
@@ -52,7 +55,8 @@ def _acceptable(result):
 
 
 def _property(name, graph, partitioning, rate):
-    """Whatever ``name`` produces on the design passes every rule."""
+    """Whatever ``name`` produces on the design passes every rule;
+    returns the result, or None when the flow gave up."""
     from repro.explore.worker import resolve_timing
     try:
         result = synthesize(graph, partitioning, resolve_timing("ar"),
@@ -62,21 +66,30 @@ def _property(name, graph, partitioning, rate):
     except CheckError:
         raise  # the flow's own check failed: a dirty result
     except (ReproError, BudgetExhausted):
-        return  # gave up / infeasible / out of budget: proves nothing
+        return None  # gave up / infeasible / out of budget
     _acceptable(result)
+    return result
 
 
 FUZZ_CASES = list(generate_cases("scheduler-backends", 6))
 
+#: Names of deleted backends, now deprecated aliases of ``list``.
+DELETED_BACKENDS = ["modulo", "postpone"]
+
 
 class TestEveryBackendPassesAllRules:
 
-    @pytest.mark.parametrize("name", scheduler_names())
+    @pytest.mark.parametrize("name", scheduler_names() + DELETED_BACKENDS)
     @pytest.mark.parametrize("case", FUZZ_CASES,
                              ids=lambda c: f"seed{c.seed}")
     def test_fuzz_stream(self, name, case):
         graph, partitioning = case.build()
-        _property(name, graph, partitioning, case.rate)
+        result = _property(name, graph, partitioning, case.rate)
+        if name in DELETED_BACKENDS and result is not None:
+            baseline = _property("list", graph, partitioning, case.rate)
+            if baseline is not None:  # both inside their budgets
+                assert (result.schedule.start_step
+                        == baseline.schedule.start_step)
 
     def test_catches_a_consumer_ahead_of_its_producer(
             self, early_consumer_backend):
@@ -111,10 +124,13 @@ class TestOracleAcceptsNewBackends:
         oracle = run_differential(
             design_fn(), pins, timing_fn(), rate, resources=resources,
             timeout_ms=20000,
-            schedulers=("list", "heap", "modulo"))
+            schedulers=("list", "heap", "modulo", "postpone"))
         assert oracle.ok, (oracle.disagreements + oracle.checker_gaps
                            + oracle.violations())
         labels = [o.label for o in oracle.outcomes]
-        # modulo participated; heap, an alias of list, added no run.
+        # heap, modulo and postpone, aliases of list, added no run:
+        # each flow ran once.
         assert {o.scheduler for o in oracle.outcomes
-                if o.scheduler is not None} == {"list", "modulo"}, labels
+                if o.scheduler is not None} == {"list"}, labels
+        flows = [o.flow for o in oracle.outcomes]
+        assert len(flows) == len(set(flows)), labels

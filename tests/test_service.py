@@ -255,6 +255,31 @@ class TestCoalescing:
             assert stats["coalesced"] == 1
 
 
+    def test_finished_jobs_drop_their_payload(self):
+        runner = GatedRunner()
+        with make_server(runner) as server:
+            client = ServiceClient(port=server.port)
+
+            def request(**kwargs):
+                return client.synthesize("ar-simple", rate=2,
+                                         flow="simple", timeout_ms=30000,
+                                         **kwargs)
+
+            new = request(wait=False)
+            coalesced = request(wait=False)
+            wait_until(lambda: counters(client)["coalesced"] == 1)
+            store = server.service.store
+            assert store.get(new["job_id"]).payload, "no payload queued"
+            runner.release.set()
+            client.wait_job(new["job_id"], timeout_s=30)
+            cached = request()
+            assert cached["cached"] is True
+            jobs = [store.get(r["job_id"])
+                    for r in (new, coalesced, cached)]
+            assert all(job.done for job in jobs)
+            assert [job.payload for job in jobs] == [{}, {}, {}]
+
+
 # ---------------------------------------------------------------------
 class TestLoadShedding:
     def test_queue_full_returns_429_with_retry_after(self):

@@ -52,28 +52,26 @@ Every scheduler the flows can drive is an entry in the backend
 registry; registered names are automatically valid
 `SynthesisOptions.scheduler` values, `repro synthesize --scheduler` /
 `repro explore --schedulers` choices, explorer-axis values, and
-differential-oracle participants.  Built-ins:
+differential-oracle participants.  Each flow has one built-in:
 
 | name | flows | description |
 |---|---|---|
 | `list` | simple, connection-first | priority list scheduling on a (step, round) heap (Figure 3.4) |
-| `postpone` | connection-first | list scheduling with iterative postponement rounds |
-| `modulo` | simple, connection-first | IMS modulo placement at II=L, legalized by list scheduling |
 | `fds` | schedule-first | time-constrained force-directed scheduling (Section 5.2) |
 
-`list`, `postpone` and `modulo` all run the one engine,
-`repro.scheduling.ListScheduler`.  `heap` is a deprecated alias of
-`list`: it resolves with a diagnostics warning and shares `list`'s
-cache keys.
+`list` runs the one engine, `repro.scheduling.ListScheduler`.  `heap`,
+`modulo` and `postpone` are deprecated aliases of `list`: each
+resolves with a diagnostics warning, gets `list`'s answer and shares
+`list`'s cache keys.
 
 Registering a third-party backend:
 
 ```python
 from repro.pipeline import register_scheduler
 
-def my_backend(graph, timing, rate, resources, hooks_factory,
-               budget, diagnostics):
-    # hooks_factory() yields fresh IoHooks per scheduling attempt;
+def my_backend(graph, timing, rate, resources, hooks, budget,
+               diagnostics):
+    # hooks is the flow's one IoHooks (pin checker or bus allocator);
     # consult hooks.can_schedule / hooks.commit for every I/O op
     # placement and return a finished repro.scheduling.base.Schedule.
     ...
