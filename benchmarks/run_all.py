@@ -263,10 +263,12 @@ def bench_warm_neighbors(smoke: bool):
     non-identical points whose content hashes all differ, so the result
     cache never helps.  The cold run solves every point from scratch;
     the warm run chains the points onto one worker in descending budget
-    order with a shared pin-oracle store, so after the chain head the
-    store's witness/dominance shortcuts answer whole solve trajectories
-    without building a tableau.  Both runs use one worker: the metric
-    is per-point work, not parallelism.
+    order with a shared pin-oracle store.  After the chain head, a point
+    whose budgets the head's schedule still fits adopts that schedule
+    outright (schedule reuse: no scheduler, no pin check, no store
+    lookup), and the store's witness/dominance shortcuts answer the
+    trajectories of the rest without building a tableau.  Both runs use
+    one worker: the metric is per-point work, not parallelism.
 
     The budget grid starts at 1.75x: below that the budgets constrain
     the schedule, each point takes a different commit trajectory, and

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.check.report import CheckError, CheckReport
 from repro.check.rules import PIN_RULES
-from repro.errors import InfeasibleError, ReproError
+from repro.errors import InfeasibleError, ReproError, SchedulingError
 from repro.partition.simple import is_simple_partitioning
 from repro.robustness.budget import BudgetExhausted, SolveBudget
 
@@ -185,11 +185,16 @@ def _participants(flows: Sequence[str],
     backend (``None``).  With ``schedulers``, each flow runs once per
     named backend that supports it (aliases resolve to their canonical
     name first); a flow no requested backend supports still runs once
-    under its default so the cross-comparison keeps its baseline.
+    under its default so the cross-comparison keeps its baseline.  A
+    name no backend is registered under raises :class:`SchedulingError`,
+    as a flow's own scheduler validation does.
     """
     if not schedulers:
         return [(flow, None) for flow in flows]
     from repro.pipeline.registry import resolve_scheduler, scheduler_backend
+    for name in schedulers:
+        if scheduler_backend(resolve_scheduler(name)) is None:
+            raise SchedulingError(f"unknown scheduler {name!r}")
     out: List[tuple] = []
     for flow in flows:
         matched = False
@@ -199,8 +204,7 @@ def _participants(flows: Sequence[str],
             if canonical in seen:
                 continue
             seen.add(canonical)
-            backend = scheduler_backend(canonical)
-            if backend is not None and flow in backend.flows:
+            if flow in scheduler_backend(canonical).flows:
                 out.append((flow, canonical))
                 matched = True
         if not matched:
@@ -224,7 +228,8 @@ def run_differential(graph, partitioning, timing, initiation_rate,
     backend against the list baseline — and, through the flow axis,
     against FDS — on one design.  A deprecated alias (``heap``,
     ``modulo``, ``postpone``) resolves to its canonical name and adds
-    no participant of its own.
+    no participant of its own; a name no backend is registered under
+    raises :class:`repro.errors.SchedulingError`.
 
     Returns an :class:`OracleReport`; ``report.ok`` means no flow
     produced a dirty result, no feasibility disagreement, and no clean

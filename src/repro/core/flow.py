@@ -145,10 +145,12 @@ class SynthesisResult:
     simple_allocation: Optional[SimpleConnectionResult] = None
     stats: Dict[str, float] = field(default_factory=dict)
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    #: Warm-start handle for structurally-identical re-solves: the pin
-    #: checker's exported :class:`repro.ilp.WarmBasis` (simple flow
-    #: only; None elsewhere).  Deliberately not serialized with the
-    #: result — it travels between neighboring solves, not to archives.
+    #: Warm-start hand-off for structurally-identical re-solves: a
+    #: :class:`repro.core.pin_allocation.PinWarmStart` with the pin
+    #: checker's exported :class:`repro.ilp.WarmBasis` and the finished
+    #: schedule's trajectory (simple flow only; None elsewhere).
+    #: Deliberately not serialized with the result — it travels between
+    #: neighboring solves in one process, not to archives.
     warm_basis: Optional[object] = None
     #: The flow's :class:`repro.check.CheckReport`, from its one
     #: design-rule check; not serialized either.
@@ -310,11 +312,20 @@ def synthesize(graph: Cdfg,
     with unidirectional pins and the Chapter 4 flow otherwise; the
     remaining keyword arguments are :class:`SynthesisOptions` fields.
 
-    ``pin_warm_basis`` hands the simple flow's pin checker a
-    :class:`repro.ilp.WarmBasis` exported by a structurally identical
-    earlier solve (``result.warm_basis``); the solver warm-starts from
-    it when compatible and silently cold-starts otherwise, so verdicts
-    are unchanged.  Other flows ignore it.
+    ``pin_warm_basis`` hands the simple flow an earlier solve's
+    ``result.warm_basis``, a
+    :class:`repro.core.pin_allocation.PinWarmStart` (a bare
+    :class:`repro.ilp.WarmBasis`, or its dict form, also works).  Its
+    basis warm-starts the pin checker's solver when compatible and is
+    ignored otherwise.  Its trajectory, the earlier solve's finished
+    schedule, is adopted with no scheduling at all when every pin
+    verdict provably carries over: same graph, rate, port pattern,
+    timing, module vector and scheduler; the earlier schedule's pin
+    usage fits this solve's budgets; and the earlier solve had no "no"
+    verdict, or these budgets are component-wise <= the ones it was
+    proved at.  The result then records a ``schedule``/``reused``
+    diagnostics event naming those budgets.  Either way the answer
+    equals a cold solve's.  Other flows ignore it.
 
     Every flow checks its result once with
     :func:`repro.check.check_result` (the report is ``result.check``)

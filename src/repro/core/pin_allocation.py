@@ -37,17 +37,20 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cdfg.graph import Cdfg, Node
-from repro.core.oracle_store import (INIT_GROUP, INIT_NODE, OracleStore,
-                                     budget_vector, get_active)
+from repro.core.oracle_store import (INIT_GROUP, INIT_NODE, BudgetVector,
+                                     OracleStore, _dominates_le,
+                                     _witness_fits, budget_vector,
+                                     get_active)
 from repro.errors import IlpError, InfeasibleError
 from repro.ilp import (DualAllIntegerSolver, Model, Var, WarmBasis, lsum,
                        solve_ilp)
 from repro.ilp.model import SolveStatus
 from repro.ilp.simplex import solve_lp
-from repro.io_json import graph_to_dict
+from repro.io_json import shared_graph_dict
 from repro.partition.model import OUTSIDE_WORLD, Partitioning
 from repro.perf import PERF
 from repro.robustness.budget import BudgetExhausted, as_token
@@ -77,7 +80,7 @@ def design_signature(graph: Cdfg, partitioning: Partitioning,
     key = (int(initiation_rate), port_pattern(partitioning))
 
     def build() -> str:
-        payload = {"graph": graph_to_dict(graph), "rate": key[0],
+        payload = {"graph": shared_graph_dict(graph), "rate": key[0],
                    "chips": key[1]}
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
@@ -530,6 +533,70 @@ def _clone_with_fixed(model: Model, x: Mapping[Tuple[str, int], Var],
     return clone
 
 
+@dataclass(frozen=True)
+class PinTrajectory:
+    """What an exact, complete checker run proved, for a neighbour to
+    adopt instead of scheduling again.
+
+    ``key`` is the design signature plus the caller's scheduling
+    context (timing, module vector, scheduler); ``budgets`` the vector
+    every verdict was proved at; ``usage`` the finished schedule's pin
+    usage; ``rejected`` whether any pin verdict was "no".  Held in
+    memory only: it is never serialized.
+    """
+
+    key: Tuple[Any, ...]
+    budgets: BudgetVector
+    usage: BudgetVector
+    rejected: bool
+    start_step: Mapping[str, int]
+    start_ns: Mapping[str, float]
+
+    def carries_over(self, key: Tuple[Any, ...],
+                     budgets: BudgetVector) -> bool:
+        """Would a solve under ``key`` at ``budgets`` get every pin
+        verdict this run got, and so (the scheduler being
+        deterministic) make every placement it made?
+
+        "Yes" verdicts carry over when ``usage`` fits ``budgets``: the
+        finished schedule is a feasible point of every ILP along the
+        commit trajectory (see :meth:`PinAllocationChecker.finalize`).
+        "No" verdicts carry over when there were none, or when
+        ``budgets`` is component-wise <= the proof budgets
+        (monotonicity).  The timing in ``key`` compares as
+        :func:`repro.scheduling.list_scheduler.compile_design` compares
+        it: by identity for timings without value equality.
+        """
+        return (key == self.key and _witness_fits(self.usage, budgets)
+                and (not self.rejected
+                     or _dominates_le(budgets, self.budgets)))
+
+    def schedule(self, graph: Cdfg, timing, initiation_rate: int
+                 ) -> Schedule:
+        """A fresh copy of the finished schedule over ``graph``."""
+        schedule = Schedule(graph, timing, initiation_rate)
+        schedule.start_step = dict(self.start_step)
+        schedule.start_ns = dict(self.start_ns)
+        return schedule
+
+
+@dataclass(frozen=True)
+class PinWarmStart:
+    """What a simple-flow solve hands the next one
+    (``result.warm_basis``): the checker's tableau basis and its
+    trajectory, either possibly ``None``.  Never serialized."""
+
+    basis: Optional[WarmBasis] = None
+    trajectory: Optional[PinTrajectory] = None
+
+    @classmethod
+    def of(cls, value) -> "PinWarmStart":
+        """``value`` as a hand-off: a :class:`PinWarmStart` as is; a
+        bare :class:`WarmBasis`, its dict form or ``None`` as the
+        basis alone."""
+        return value if isinstance(value, cls) else cls(basis=value)
+
+
 class PinAllocationChecker:
     """IoHooks implementation: the bold boxes of Figure 3.4.
 
@@ -605,6 +672,13 @@ class PinAllocationChecker:
         self.checks = 0
         self.cache_hits = 0
         self.store_hits = 0
+        #: How many pin verdicts said "yes", and whether any said "no"
+        #: (sharing refusals are not pin verdicts); for :meth:`trajectory`.
+        self._granted = 0
+        self._rejected = False
+        #: The finished schedule's pin usage, once :meth:`finalize`
+        #: found the run exact and complete.
+        self._usage: Optional[BudgetVector] = None
         self._oracle: Dict[Tuple[Tuple[Tuple[str, int], ...], str, int],
                            bool] = {}
         #: ``sorted(fixed.items())``, one insort per commit; its tuple
@@ -762,11 +836,19 @@ class PinAllocationChecker:
     # -- IoHooks ---------------------------------------------------------
     def can_schedule(self, node: Node, step: int,
                      schedule: Schedule) -> bool:
-        group = step % self.L
         if not self._sharing_consistent(node, step, schedule):
             return False
         self.checks += 1
         PERF.inc("pin.checks")
+        verdict = self._verdict(node, step % self.L)
+        if verdict:
+            self._granted += 1
+        else:
+            self._rejected = True
+        return verdict
+
+    def _verdict(self, node: Node, group: int) -> bool:
+        """The pin verdict: memo, then store, then a probe."""
         key = (self._fingerprint, node.name, group)
         cached = self._oracle.get(key)
         if cached is not None:
@@ -915,11 +997,29 @@ class PinAllocationChecker:
             return  # partial schedule: nothing sound to re-record
         usage = assignment_usage(self.graph, self.partitioning, self.L,
                                  self.fixed)
+        self._usage = usage
         self._store.record((self._sig, (), INIT_NODE, INIT_GROUP),
                            self._budget_vec, True, witness=usage)
         for prefix, op, group in self._trail:
             self._store.record((self._sig, prefix, op, group),
                                self._budget_vec, True, witness=usage)
+
+    def trajectory(self, schedule: Schedule, context: Tuple[Any, ...]
+                   ) -> Optional[PinTrajectory]:
+        """The finished run as a :class:`PinTrajectory` keyed by the
+        design signature plus ``context``, or ``None``.
+
+        Only after :meth:`finalize` found the run exact (never latched
+        to the LP rung) and complete, and only when every "yes" verdict
+        was committed, so the schedule witnesses each of them.
+        """
+        if self._usage is None or self._granted != len(self._trail):
+            return None
+        return PinTrajectory(
+            key=(self._sig, *context), budgets=self._budget_vec,
+            usage=self._usage, rejected=self._rejected,
+            start_step=dict(schedule.start_step),
+            start_ns=dict(schedule.start_ns))
 
     # ---------------------------------------------------------------
     def _sharing_consistent(self, node: Node, step: int,

@@ -5,6 +5,10 @@ into one record per point, in one dispatch loop:
 
 * **result cache** — points whose content hash is already in the
   :class:`repro.explore.cache.ResultCache` are served without running;
+* **one solve per key** — of the points that share a content hash
+  (say, a scheduler axis that spells one backend two ways) only the
+  first runs, and the others get its record under their own
+  ``index`` and ``params``;
 * **chains** — the rest run as chains through
   :func:`repro.explore.worker.run_chain`: pin-budget neighbours in warm
   mode, one point each otherwise;
@@ -29,6 +33,7 @@ effort is attributable exactly as in single-process runs.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import multiprocessing
 import time
 from collections import deque
@@ -124,10 +129,15 @@ class Executor:
             records: Dict[int, Dict[str, Any]] = {}
             front: List[Dict[str, float]] = []
             pending: List[SweepJob] = []
+            #: Content key -> the index of the one pending job that
+            #: runs it; later jobs of the key copy its record.
+            runner: Dict[str, int] = {}
             for job in jobs:
                 cached = self.cache.get(job.key)
                 if cached is None:
-                    pending.append(job)
+                    if job.key not in runner:
+                        runner[job.key] = job.index
+                        pending.append(job)
                     continue
                 cached["index"] = job.index
                 cached["params"] = dict(job.params)
@@ -150,6 +160,11 @@ class Executor:
             finally:
                 if self.oracle_store is not None:
                     activate(previous_store)
+            for job in jobs:
+                if job.index not in records:
+                    records[job.index] = dict(
+                        copy.deepcopy(records[runner[job.key]]),
+                        index=job.index, params=dict(job.params))
             wall_ms = (time.perf_counter() - start) * 1000.0
             stats = self.cache.stats()
             sp.set(cache_hits=stats.get("hits", 0))

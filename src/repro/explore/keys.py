@@ -17,9 +17,10 @@ exactly that tuple, so:
 
 The graph is by far the largest part of that tuple, so its canonical
 form is serialized once per graph object (:func:`canonical_graph`, one
-memo slot on the graph, dropped by any mutation) and shared by
-:func:`graph_digest` and :func:`job_key`; the hashed bytes are those of
-the whole payload's canonical dump, exactly.
+memo slot on the graph, dropped by any mutation, built from the
+graph's one shared :func:`repro.io_json.shared_graph_dict` form) and
+shared by :func:`graph_digest` and :func:`job_key`; the hashed bytes
+are those of the whole payload's canonical dump, exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.cdfg.graph import Cdfg
 from repro.core.flow import SynthesisOptions
-from repro.io_json import (canonical_dumps, graph_to_dict,
-                           partitioning_to_dict)
+from repro.io_json import (canonical_dumps, partitioning_to_dict,
+                           shared_graph_dict)
 
 #: Option fields each concrete flow actually reads; everything else is
 #: dropped from the fingerprint so irrelevant grid axes do not split
@@ -82,7 +83,7 @@ def canonical_graph(graph: Cdfg) -> str:
     dropped by any mutation) so it is serialized once per distinct
     graph object."""
     return graph.memo("canonical", None,
-                      lambda: canonical_dumps(graph_to_dict(graph)))
+                      lambda: canonical_dumps(shared_graph_dict(graph)))
 
 
 def graph_digest(graph: Cdfg) -> str:

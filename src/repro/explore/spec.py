@@ -49,7 +49,7 @@ from repro.core.flow import SynthesisOptions
 from repro.errors import ReproError
 from repro.explore.keys import job_key, resources_fingerprint
 from repro.explore.worker import resolve_timing
-from repro.io_json import graph_to_dict, partitioning_to_dict
+from repro.io_json import partitioning_to_dict, shared_graph_dict
 from repro.partition.model import (ChipSpec, OUTSIDE_WORLD,
                                    Partitioning)
 
@@ -104,13 +104,16 @@ class SweepJob:
 
     def payload(self, deadline_ms: Optional[float] = None
                 ) -> Dict[str, Any]:
-        """The plain-data form shipped to a pool worker."""
+        """The plain-data form shipped to a pool worker.  The graph is
+        the one shared dict of :func:`shared_graph_dict`, so the points
+        of a chain pickle it once and ``run_chain`` compares one
+        object."""
         return {
             "index": self.index,
             "key": self.key,
             "params": dict(self.params),
             "design": {
-                "graph": graph_to_dict(self.graph),
+                "graph": shared_graph_dict(self.graph),
                 "partitioning": partitioning_to_dict(self.partitioning),
             },
             "rate": self.rate,

@@ -15,10 +15,14 @@ Workers never raise: every failure mode is folded into the record's
 ``status`` (``error`` / ``budget_exhausted`` / ``invalid``) so one
 pathological point cannot take down the sweep.
 
-Within a chain, each point's exported warm basis is handed to the next
-point in-process, and the graph and timing are parsed once, so later
+Within a chain, each point's warm hand-off (``result.warm_basis``: its
+pin checker's tableau basis and its finished schedule's trajectory) is
+passed to the next point in-process, so a later point warm-starts its
+solver or, when every pin verdict provably carries over, adopts the
+schedule outright.  The graph and timing are parsed once, so later
 points reuse the graph and the compiled design and signature memoized
-on it (DESIGN §12, §13).
+on it, and the timing that schedule reuse compares by identity (DESIGN
+§12, §13).
 """
 
 from __future__ import annotations
@@ -98,11 +102,11 @@ def run_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
 def _run_point(payload: Mapping[str, Any], parsed: Dict[str, Any],
                warm: Any, deadline_ms: Optional[float]
                ) -> Tuple[Dict[str, Any], Any]:
-    """One point of :func:`run_chain`: its record and its exported
-    warm basis (``None`` if it exported none).  ``parsed`` carries the
+    """One point of :func:`run_chain`: its record and its warm
+    hand-off (``None`` if it exported none).  ``parsed`` carries the
     last point's parsed ``(graph, timing)`` and source; ``warm`` is the
-    basis the pin checker starts from; ``deadline_ms`` is the point's
-    slice of the chain's clock."""
+    hand-off the simple flow starts from; ``deadline_ms`` is the
+    point's slice of the chain's clock."""
     basis = None
     record = _record(payload)
     start = time.perf_counter()
@@ -203,9 +207,10 @@ def run_chain(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     pin budgets into a chain (ordered by *descending* ``pin_scale``, so
     every step is a tightening and the inherited cuts stay sound) and
     dispatches the whole chain to one worker, so each point inherits
-    its predecessor's :class:`WarmBasis` without any serialization and
-    the (inherited) oracle store stays hot; a cold point is a chain of
-    one.  The basis never leaves this function.  The graph and timing
+    its predecessor's warm hand-off (tableau basis and schedule
+    trajectory) without any serialization and the (inherited) oracle
+    store stays hot; a cold point is a chain of one.  The hand-off
+    never leaves this function.  The graph and timing
     are parsed again only when a point's graph dict or timing name
     differs from its predecessor's.
 

@@ -91,6 +91,14 @@ def graph_to_dict(graph: Cdfg) -> Dict[str, Any]:
     }
 
 
+def shared_graph_dict(graph: Cdfg) -> Dict[str, Any]:
+    """:func:`graph_to_dict` of ``graph``, memoized on the graph (one
+    slot, dropped by any mutation), so a graph is serialized once
+    however many keys, signatures and job payloads read it.  The dict
+    is shared: read it, never change it."""
+    return graph.memo("dict", None, lambda: graph_to_dict(graph))
+
+
 def graph_from_dict(data: Dict[str, Any]) -> Cdfg:
     """Rebuild a CDFG from :func:`graph_to_dict` data."""
     if data.get("version") != FORMAT_VERSION:

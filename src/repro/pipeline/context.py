@@ -85,6 +85,7 @@ class FlowContext:
     interconnect: Any = None
     initial: Any = None          # initial BusAssignment from the search
     checker: Any = None          # PinAllocationChecker (simple flow)
+    warm_export: Any = None      # PinWarmStart for the next solve
     allocator: Any = None        # BusAllocator (connection-first flow)
     schedule: Any = None
     assignment: Any = None

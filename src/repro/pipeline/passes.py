@@ -20,7 +20,9 @@ from typing import Protocol
 from repro.cdfg.validate import validate_cdfg
 from repro.core.bus_assignment import BusAllocator
 from repro.core.connection_search import ConnectionSearch
-from repro.core.pin_allocation import PinAllocationChecker
+from repro.core.oracle_store import budget_vector
+from repro.core.pin_allocation import (PinAllocationChecker, PinWarmStart,
+                                       design_signature)
 from repro.core.post_sched import PostScheduleConnector
 from repro.core.simple_connection import build_simple_connection
 from repro.core.subbus import SubBusConnectionSearch
@@ -150,21 +152,43 @@ class SchedulePinChecked:
 
     The selected backend draws its functional-unit pool from the
     resource table and its I/O feasibility from the run's one
-    :class:`PinAllocationChecker`.
+    :class:`PinAllocationChecker`.  When the warm hand-off
+    (``ctx.warm_basis``, a :class:`PinWarmStart`) holds a trajectory
+    whose every pin verdict carries over to this solve
+    (:meth:`PinTrajectory.carries_over`), its schedule is adopted
+    instead: no scheduler, no checker, no store lookup.  Either way the
+    pass leaves the hand-off for the next solve in ``ctx.warm_export``.
     """
 
     name = "schedule"
 
     def run(self, ctx: FlowContext) -> None:
         backend = _resolved_backend(ctx, "simple")
+        warm = PinWarmStart.of(ctx.warm_basis)
+        context = (ctx.timing, dict(ctx.table.modules), backend.name)
+        adopted = warm.trajectory
+        if adopted is not None and adopted.carries_over(
+                (design_signature(ctx.graph, ctx.partitioning,
+                                  ctx.initiation_rate), *context),
+                budget_vector(ctx.partitioning)):
+            ctx.schedule = adopted.schedule(ctx.graph, ctx.timing,
+                                            ctx.initiation_rate)
+            ctx.diag.record("schedule", "reused",
+                            proved_at=list(adopted.budgets))
+            ctx.warm_export = warm
+            return
         ctx.checker = PinAllocationChecker(
             ctx.graph, ctx.partitioning, ctx.initiation_rate,
             method=ctx.options.pin_method, budget=ctx.token,
-            diagnostics=ctx.diag, warm_basis=ctx.warm_basis)
+            diagnostics=ctx.diag, warm_basis=warm.basis)
         ctx.schedule = backend.run_scheduler(
             ctx.graph, ctx.timing, ctx.initiation_rate,
             ctx.table.modules, ctx.checker, ctx.token, ctx.diag)
         ctx.checker.finalize()
+        basis = ctx.checker.export_warm_basis()
+        trajectory = ctx.checker.trajectory(ctx.schedule, context)
+        if basis is not None or trajectory is not None:
+            ctx.warm_export = PinWarmStart(basis, trajectory)
 
 
 class ConnectSimple:
@@ -185,6 +209,11 @@ class BuildSimpleResult:
     def run(self, ctx: FlowContext) -> None:
         from repro.core.flow import SynthesisResult
         checker = ctx.checker
+        # A reused schedule ran no checker: its pin counts are 0.
+        counts = {} if checker is None else {
+            "pin_checks": checker.checks,
+            "pin_cache_hits": checker.cache_hits,
+            "pin_store_hits": checker.store_hits}
         ctx.result = SynthesisResult(
             graph=ctx.graph,
             partitioning=ctx.partitioning,
@@ -192,12 +221,9 @@ class BuildSimpleResult:
             schedule=ctx.schedule,
             resources=ctx.table.modules,
             simple_allocation=ctx.simple_allocation,
-            stats=normalized_stats(ctx.perf,
-                                   pin_checks=checker.checks,
-                                   pin_cache_hits=checker.cache_hits,
-                                   pin_store_hits=checker.store_hits),
+            stats=normalized_stats(ctx.perf, **counts),
             diagnostics=ctx.diag,
-            warm_basis=checker.export_warm_basis(),
+            warm_basis=ctx.warm_export,
         )
 
 

@@ -132,3 +132,31 @@ def test_checker_blind_spot_caught_by_simulation(monkeypatch,
                               schedulers=[early_consumer_backend])
     assert oracle.checker_gaps, oracle.to_dict()
     assert not oracle.ok
+
+
+class TestUnknownScheduler:
+    """The oracle rejects a scheduler name no backend is registered
+    under, as the flows do; a known backend that lacks a flow is still
+    only skipped for that flow."""
+
+    def test_run_differential_raises(self):
+        from repro.errors import SchedulingError
+        graph, pins, timing, resources = _load("ar-general", 3)
+        with pytest.raises(SchedulingError, match="unknown scheduler"):
+            run_differential(graph, pins, timing, 3,
+                             resources=resources, schedulers=("nosuch",))
+
+    def test_cli_exits_one_like_the_flow(self, capsys):
+        from repro.cli import main
+        for extra in (["--oracle"], []):
+            assert main(["check", "ar-general", "-L", "3",
+                         "--scheduler", "nosuch", *extra]) == 1
+            captured = capsys.readouterr()
+            assert "error: unknown scheduler 'nosuch'" in captured.err
+            assert "oracle: ok" not in captured.out
+
+    def test_backend_without_the_flow_is_skipped_for_it(self):
+        from repro.check.oracle import _participants
+        assert _participants(["simple", "schedule-first"],
+                             ("list", "fds")) == [
+            ("simple", "list"), ("schedule-first", "fds")]

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 import repro
-from repro import designs
+from repro import designs, io_json
 from repro.cdfg import analysis
 from repro.cdfg.graph import Cdfg
 from repro.explore import SweepSpec, keys
@@ -132,7 +132,7 @@ class TestSharedSpaces:
         calls = []
         for name in BUILDERS:
             _counting(monkeypatch, designs, name, calls)
-        _counting(monkeypatch, keys, "graph_to_dict", calls)
+        _counting(monkeypatch, io_json, "graph_to_dict", calls)
         _counting(monkeypatch, analysis, "critical_path_length", calls)
         again = catalog.synthesize_job(body)[1]
         assert calls == []
@@ -209,3 +209,85 @@ def test_solve_leaves_the_shared_graph_unchanged(monkeypatch, design,
     assert result.schedule is not None
     assert mutated == []
     assert _graph_sha(graph) == before
+
+
+# ---------------------------------------------------------------------
+def _stacked_chain(copies, points):
+    """A sweep-neighbors-style chain: ``points`` pin scales of one
+    stacked design, over a freshly built graph."""
+    space = catalog.DesignSpace(
+        name=f"ar-stacked-{copies}",
+        graph=designs.ar_stacked_design(copies),
+        partitioning=designs.ar_stacked_pins(copies))
+    spec = SweepSpec(axes={"pin_scale": [round(1.75 + 0.0125 * step, 4)
+                                         for step in range(points)]},
+                     base={"rate": 2, "flow": "simple"})
+    return spec.expand(space)
+
+
+class TestOneGraphDictPerGraph:
+    """A graph is serialized once: ``SweepJob.payload``,
+    ``canonical_graph`` and ``design_signature`` read one memoized,
+    shared ``graph_to_dict`` form."""
+
+    def test_a_chain_pickles_its_graph_once(self):
+        import pickle
+
+        jobs = _stacked_chain(2, 60)
+        payloads = [job.payload() for job in jobs]
+        assert all(p["design"]["graph"] is payloads[0]["design"]["graph"]
+                   for p in payloads)
+        assert len(pickle.dumps(payloads)) < 100 * 1024
+        # Unpickled, the points still share one graph dict, so the
+        # worker's same-graph test compares a single object.
+        shipped = pickle.loads(pickle.dumps(payloads))
+        assert all(p["design"]["graph"] is shipped[0]["design"]["graph"]
+                   for p in shipped)
+
+    def test_expanding_and_dispatching_serializes_each_graph_once(
+            self, monkeypatch):
+        from collections import Counter
+
+        from repro.core.oracle_store import OracleStore
+        from repro.explore import Executor, ResultCache
+
+        serialized = Counter()
+        real = io_json.graph_to_dict
+
+        def counted(graph):
+            serialized[id(graph)] += 1
+            return real(graph)
+
+        monkeypatch.setattr(io_json, "graph_to_dict", counted)
+        jobs = _stacked_chain(2, 4)
+        graph = jobs[0].graph
+        result = Executor(workers=1, cache=ResultCache(), warm=True,
+                          oracle_store=OracleStore()).run(jobs)
+        assert [p["status"] for p in result.points] == ["ok"] * 4
+        # The design's graph, and the one graph the inline worker
+        # parsed for the chain (its pin signature), once each.
+        assert serialized[id(graph)] == 1
+        assert sorted(serialized.values()) == [1, 1]
+
+    def test_shared_form_survives_a_warm_sweep_and_a_service_solve(self):
+        from repro.core.oracle_store import OracleStore
+        from repro.explore import Executor, ResultCache
+        from repro.service import (ServiceClient, ServiceConfig,
+                                   ThreadedServer)
+
+        space = catalog.design_space("ar-stacked-2")
+        spec = SweepSpec(axes={"pin_scale": [2.0, 1.9, 1.8]},
+                         base={"rate": 2, "flow": "simple"})
+        jobs = spec.expand(space)
+        result = Executor(workers=1, cache=ResultCache(), warm=True,
+                          oracle_store=OracleStore()).run(jobs)
+        assert [p["status"] for p in result.points] == ["ok"] * 3
+        config = ServiceConfig(port=0, workers=1, pool_mode="thread",
+                               cache_sync=False)
+        with ThreadedServer(config) as server:
+            answer = ServiceClient(port=server.port).synthesize(
+                "ar-stacked-2", rate=2, flow="simple", pin_scale=1.7,
+                timeout_ms=60000)
+        assert answer["status"] == "ok"
+        assert io_json.shared_graph_dict(space.graph) \
+            == graph_to_dict(space.graph)

@@ -110,3 +110,28 @@ class TestExploreCommand:
         report = json.loads(capsys.readouterr().out)
         assert len(report["points"]) == 2
         assert _validate(report) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_solve_per_content_key(self, tmp_path, capsys, workers):
+        """Three spellings of one scheduler hash to one key: the sweep
+        solves it once, caches it once, and reports all three points,
+        each under its own index and params."""
+        cache = str(tmp_path / "cache.jsonl")
+        assert main(["explore", "ar-simple", "--rates", "2",
+                     "--flows", "simple",
+                     "--schedulers", "list,modulo,postpone",
+                     "--workers", workers, "--cache", cache,
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        points = report["points"]
+        assert [p["index"] for p in points] == [0, 1, 2]
+        assert [p["params"]["scheduler"] for p in points] \
+            == ["list", "modulo", "postpone"]
+        assert len({p["key"] for p in points}) == 1
+        assert all(p["status"] == "ok" for p in points)
+        assert len({json.dumps(p["metrics"], sort_keys=True)
+                    for p in points}) == 1
+        assert report["perf"]["counters"]["pin.checks"] == 82
+        with open(cache) as handle:
+            assert len(handle.readlines()) == 1
+        assert _validate(report) == []

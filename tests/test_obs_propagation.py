@@ -92,12 +92,12 @@ class TestForkWorkerBoundary:
         enable_tracing()
         space = DesignSpace(name="ar-simple", graph=ar_simple_design(),
                             partitioning=AR_SIMPLE_PINS, timing="ar")
-        # Two identical points (one via axes, one explicit): both are
-        # the known-fast ar-simple solve, and with workers=2 they fan
-        # out over a real fork pool.
-        point = {"rate": 2, "flow": "simple"}
-        spec = SweepSpec(axes={"rate": [2]}, base={"flow": "simple"},
-                         points=[dict(point)])
+        # Two points at neighbouring pin budgets: both are the
+        # known-fast ar-simple solve, their keys differ (a sweep solves
+        # each key once), and with workers=2 they fan out over a real
+        # fork pool.
+        spec = SweepSpec(axes={"pin_scale": [1.0, 1.25]},
+                         base={"rate": 2, "flow": "simple"})
         jobs = spec.expand(space)
         assert len(jobs) == 2
         executor = Executor(workers=2, prune_dominated=False,

@@ -529,11 +529,11 @@ class TestWarmExecutorEqualsCold:
         the graph once, not once per job key plus once for the chain
         key.  The space is built fresh: the catalog's shared graph may
         already be serialized by an earlier test."""
-        from repro.explore import keys
+        from repro import io_json
 
         hashed = []
-        serialize = keys.graph_to_dict
-        monkeypatch.setattr(keys, "graph_to_dict", lambda graph: (
+        serialize = io_json.graph_to_dict
+        monkeypatch.setattr(io_json, "graph_to_dict", lambda graph: (
             hashed.append(graph.name), serialize(graph))[1])
         spec = SweepSpec(axes={
             "rate": [2], "flow": ["simple"],
