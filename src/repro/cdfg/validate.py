@@ -4,11 +4,14 @@ The checks are deliberately strict: synthesis algorithms downstream rely
 on these invariants (flat acyclic graph, I/O nodes between distinct
 partitions, consistent bit widths within a value, ...), and a clear
 early error beats a confusing mid-schedule failure.
+
+The verdict depends on the graph alone, so it is memoized on it
+(``Cdfg.memo``) and any graph mutation drops it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.cdfg.analysis import topological_order
 from repro.cdfg.graph import Cdfg
@@ -17,7 +20,21 @@ from repro.errors import ValidationError
 
 
 def validate_cdfg(graph: Cdfg, require_partitions: bool = True) -> None:
-    """Raise :class:`ValidationError` describing every violation found."""
+    """Raise :class:`ValidationError` describing every violation found.
+
+    The problem list is derived once per graph and ``require_partitions``
+    (one ``Cdfg.memo`` slot, dropped by any mutation), so a warm chain
+    that solves one graph many times validates it once; every call on
+    an invalid graph raises an error with the same text.
+    """
+    problems = graph.memo("validation", bool(require_partitions),
+                          lambda: _problems(graph, require_partitions))
+    if problems:
+        raise ValidationError(
+            "CDFG validation failed:\n  " + "\n  ".join(problems))
+
+
+def _problems(graph: Cdfg, require_partitions: bool) -> Tuple[str, ...]:
     problems: List[str] = []
 
     # Acyclic over non-recursive edges (also detects dangling names).
@@ -115,7 +132,4 @@ def validate_cdfg(graph: Cdfg, require_partitions: bool = True) -> None:
             problems.append(
                 f"edge {edge.src!r} -> {edge.dst!r} crosses partitions "
                 f"{src.partition} -> {dst.partition} without an I/O node")
-
-    if problems:
-        raise ValidationError(
-            "CDFG validation failed:\n  " + "\n  ".join(problems))
+    return tuple(problems)

@@ -7,7 +7,9 @@ once, in its verify pass, and keeps the report as ``result.check``;
 ``Schedule.verify()`` are shims over these rules.  Each invariant is a
 named :class:`Rule` that can be toggled off individually, and every
 violation is a structured :class:`~repro.check.report.Violation`
-rather than a bare string.
+rather than a bare string.  The rules read their per-op facts from a
+table the checker derives itself, once per (graph, timing), and never
+from the scheduler's tables.
 
 Rule catalogue (see DESIGN.md §11 for the full table):
 
@@ -37,10 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
-from repro.cdfg.analysis import _EPS
+from repro.cdfg.analysis import TimingSpec, _EPS
+from repro.cdfg.graph import Cdfg, Node
 from repro.check.report import CheckReport, Violation
 from repro.errors import ConnectionError_, ReproError
 from repro.partition.model import OUTSIDE_WORLD
@@ -60,42 +63,96 @@ class Rule:
 
 
 # ---------------------------------------------------------------------
+# The checker's own table
+# ---------------------------------------------------------------------
+class _CheckTable:
+    """The facts the rules read that depend only on (graph, timing).
+
+    The checker derives this table itself, from the graph and the
+    timing: it never reads the scheduler's ``CompiledDesign``, so a
+    wrong scheduler table cannot make the check pass a wrong schedule
+    (DESIGN §13).  Only facts are kept here, never a verdict: every
+    rule still runs on every result.
+    """
+
+    def __init__(self, graph: Cdfg, timing: TimingSpec) -> None:
+        probe = getattr(timing, "is_pipelined_unit", None)
+        #: Every node -> None when it is free, else (delay ns,
+        #: occupied steps, must start at a clock boundary).
+        self.ops: Dict[str, Optional[Tuple[float, int, bool]]] = {}
+        #: Functional op -> ((chip, type), whether it is a
+        #: non-pipelined multi-cycle op, which needs a wheel).
+        self.units: Dict[str, Tuple[Tuple[int, str], bool]] = {}
+        for node in graph.nodes():
+            if node.is_free():
+                self.ops[node.name] = None
+                continue
+            self.ops[node.name] = (timing.delay_ns(node),
+                                   max(1, timing.cycles(node)),
+                                   timing.must_start_at_boundary(node))
+            if node.is_functional():
+                wheel = (timing.cycles(node) > 1
+                         and not (probe is not None and probe(node)))
+                self.units[node.name] = ((node.partition, node.op_type),
+                                         wheel)
+        #: Non-free ops, in node order.
+        self.names: Tuple[str, ...] = tuple(
+            name for name, op in self.ops.items() if op is not None)
+        #: Non-recursive edges with both ends non-free, in edge order,
+        #: as (producer, consumer, producer delay).
+        self.edges: Tuple[Tuple[str, str, float], ...] = tuple(
+            (e.src, e.dst, self.ops[e.src][0]) for e in graph.edges()
+            if not e.is_recursive() and self.ops[e.src] is not None
+            and self.ops[e.dst] is not None)
+        #: The I/O nodes, in node order.
+        self.io: Tuple[Node, ...] = tuple(graph.io_nodes())
+
+    def op(self, graph: Cdfg,
+           name: str) -> Optional[Tuple[float, int, bool]]:
+        """``ops[name]``; a name that is not a graph node raises the
+        graph's own :class:`~repro.errors.CdfgError`."""
+        try:
+            return self.ops[name]
+        except KeyError:
+            graph.node(name)
+            raise
+
+
+def _table(result) -> _CheckTable:
+    """The result's check table, memoized in its own ``Cdfg.memo`` slot
+    and keyed like ``compile_design``: an equal timing hits (identity
+    for ``DesignTiming``), and any graph mutation drops it."""
+    graph, timing = result.graph, result.schedule.timing
+    return graph.memo("check", timing, lambda: _CheckTable(graph, timing))
+
+
+# ---------------------------------------------------------------------
 # Schedule-level rules
 # ---------------------------------------------------------------------
 def _rule_scheduled(result) -> List[Violation]:
     out = []
-    for name in result.graph.node_names():
-        if name not in result.schedule.start_step:
-            node = result.graph.node(name)
-            if not node.is_free():
-                out.append(Violation.at(
-                    "scheduled", f"{name!r} is unscheduled", op=name))
+    start_step = result.schedule.start_step
+    for name in _table(result).names:
+        if name not in start_step:
+            out.append(Violation.at(
+                "scheduled", f"{name!r} is unscheduled", op=name))
     return out
 
 
 def _rule_precedence(result) -> List[Violation]:
     out = []
-    schedule = result.schedule
-    graph = result.graph
-    for edge in graph.edges():
-        if edge.is_recursive():
+    start_step = result.schedule.start_step
+    start_ns = result.schedule.start_ns
+    for src, dst, delay in _table(result).edges:
+        if src not in start_step or dst not in start_step:
             continue
-        if edge.src not in schedule.start_step or \
-                edge.dst not in schedule.start_step:
-            continue
-        src = graph.node(edge.src)
-        dst = graph.node(edge.dst)
-        if src.is_free() or dst.is_free():
-            continue
-        if schedule.finish_ns(edge.src) > \
-                schedule.start_ns[edge.dst] + _EPS:
+        finish = start_ns[src] + delay
+        if finish > start_ns[dst] + _EPS:
             out.append(Violation.at(
                 "precedence",
-                f"{edge.dst!r} starts at "
-                f"{schedule.start_ns[edge.dst]} ns before "
-                f"{edge.src!r} finishes at "
-                f"{schedule.finish_ns(edge.src)} ns",
-                op=edge.dst, producer=edge.src))
+                f"{dst!r} starts at {start_ns[dst]} ns before "
+                f"{src!r} finishes at {finish} ns",
+                op=dst, producer=src))
     return out
 
 
@@ -126,19 +183,22 @@ def _rule_recursion(result) -> List[Violation]:
 def _rule_chaining(result) -> List[Violation]:
     out = []
     schedule = result.schedule
+    graph = result.graph
+    table = _table(result)
+    start_ns = schedule.start_ns
     period = schedule.timing.clock_period
     for name, step in schedule.start_step.items():
-        node = result.graph.node(name)
-        if node.is_free():
+        op = table.op(graph, name)
+        if op is None:
             continue
-        cycles = max(1, schedule.timing.cycles(node))
-        if schedule.finish_ns(name) > (step + cycles) * period + _EPS:
+        delay, cycles, boundary = op
+        if start_ns[name] + delay > (step + cycles) * period + _EPS:
             out.append(Violation.at(
                 "chaining",
                 f"{name!r} overruns its {cycles}-cycle window",
                 op=name, step=step))
-        if schedule.timing.must_start_at_boundary(node):
-            if abs(schedule.start_ns[name] - step * period) > 1e-6:
+        if boundary:
+            if abs(start_ns[name] - step * period) > 1e-6:
                 out.append(Violation.at(
                     "chaining",
                     f"{name!r} must start at a clock boundary",
@@ -147,23 +207,40 @@ def _rule_chaining(result) -> List[Violation]:
 
 
 def _rule_resources(result) -> List[Violation]:
+    """Single-cycle (and pipelined) units are counted per (chip, type,
+    group) here; non-pipelined multi-cycle ops go through a
+    :class:`ResourcePool`'s allocation wheels."""
     out = []
     schedule = result.schedule
-    pool = ResourcePool(result.resources, schedule.timing,
-                        result.initiation_rate)
+    graph = result.graph
+    table = _table(result)
+    L = result.initiation_rate
+    resources = dict(result.resources)
+    counts: Dict[Tuple[Tuple[int, str], int], int] = {}
+    pool: Optional[ResourcePool] = None
     order = sorted(schedule.start_step.items(), key=lambda kv: kv[1])
     for name, step in order:
-        node = result.graph.node(name)
-        if not node.is_functional():
+        unit = table.units.get(name)
+        if unit is None:
+            table.op(graph, name)  # an unknown name raises
             continue
-        if not pool.try_place(node, step):
+        key, wheel = unit
+        if wheel:
+            if pool is None:
+                pool = ResourcePool(resources, schedule.timing, L)
+            fits = pool.try_place(graph.node(name), step)
+        else:
+            group_key = (key, step % L)
+            used = counts.get(group_key, 0)
+            fits = used < resources.get(key, 0)
+            if fits:
+                counts[group_key] = used + 1
+        if not fits:
             out.append(Violation.at(
                 "resources",
                 f"{name!r} exceeds the functional units of partition "
-                f"{node.partition} ({node.op_type}) in group "
-                f"{step % result.initiation_rate}",
-                op=name, chip=node.partition,
-                group=step % result.initiation_rate))
+                f"{key[0]} ({key[1]}) in group {step % L}",
+                op=name, chip=key[0], group=step % L))
     return out
 
 
@@ -233,14 +310,14 @@ def _step_bits(result) -> Tuple[Dict[Tuple[int, int], int],
     the ILP's ``y`` treatment); each destination pays its own bits.
     """
     L = result.initiation_rate
-    schedule = result.schedule
+    start_step = result.schedule.start_step
     out_bits: Dict[Tuple[int, int], int] = {}
     in_bits: Dict[Tuple[int, int], int] = {}
     out_seen: Set[Tuple[int, str, int]] = set()
-    for node in result.graph.io_nodes():
-        if node.name not in schedule.start_step:
+    for node in _table(result).io:
+        if node.name not in start_step:
             continue
-        step = schedule.step(node.name)
+        step = start_step[node.name]
         group = step % L
         src, dst = node.source_partition, node.dest_partition
         src_key = (src, node.value or node.name, step)
@@ -482,12 +559,17 @@ def _rule_simple_alloc(result) -> List[Violation]:
     if result.simple_allocation is None:
         return out
     allocation = result.simple_allocation
-    interconnect = allocation.interconnect
+    # Bundles by index, the first of any repeated index winning, as
+    # ``Interconnect.bus`` finds them.
+    buses: Dict[int, Any] = {}
+    for bus in allocation.interconnect.buses:
+        buses.setdefault(bus.index, bus)
     schedule = result.schedule
-    L = result.initiation_rate
+    start_step = schedule.start_step
+    L = schedule.initiation_rate
     usage: Dict[Tuple[int, int], int] = {}
     shared_seen: Dict[Tuple[int, int, str, int], int] = {}
-    for node in result.graph.io_nodes():
+    for node in _table(result).io:
         name = node.name
         alloc = allocation.allocation.get(name)
         if alloc is None:
@@ -495,7 +577,7 @@ def _rule_simple_alloc(result) -> List[Violation]:
                 "simple-alloc", f"I/O op {name!r} has no allocation",
                 op=name))
             continue
-        if name not in schedule.start_step:
+        if name not in start_step:
             out.append(Violation.at(
                 "simple-alloc", f"I/O op {name!r} is unscheduled",
                 op=name))
@@ -507,12 +589,11 @@ def _rule_simple_alloc(result) -> List[Violation]:
                 f"{name!r}: allocated {total} bits != width "
                 f"{node.bit_width}",
                 op=name, bits=total))
-        group = schedule.group(name)
-        step = schedule.step(name)
+        step = start_step[name]
+        group = step % L
         for bus_index, bits in alloc:
-            try:
-                bus = interconnect.bus(bus_index)
-            except ConnectionError_:
+            bus = buses.get(bus_index)
+            if bus is None:
                 out.append(Violation.at(
                     "simple-alloc",
                     f"{name!r} uses nonexistent bundle {bus_index}",
@@ -534,7 +615,7 @@ def _rule_simple_alloc(result) -> List[Violation]:
             usage[(bus_index, group)] = usage.get(
                 (bus_index, group), 0) + extra
     for (bus_index, group), bits in sorted(usage.items()):
-        width = interconnect.bus(bus_index).width
+        width = buses[bus_index].width
         if bits > width:
             out.append(Violation.at(
                 "simple-alloc",
@@ -592,6 +673,12 @@ def check_result(result, rules: Optional[Sequence[str]] = None,
     ``disable`` removes individual rules from whatever set is selected.
     Unknown rule names raise :class:`repro.errors.ReproError` so typos
     cannot silently skip checks.
+
+    Every selected rule runs on every call; no verdict is cached.  The
+    per-op facts the rules read (delays, occupied steps, boundary
+    starts, unit keys, the non-free edges and the I/O nodes) come from
+    the checker's own table, derived once per (graph, timing) and
+    memoized on the graph; the scheduler's tables are never read.
     """
     selected = list(RULES) if rules is None else [
         _lookup(name) for name in rules]

@@ -327,9 +327,17 @@ class FrontTier:
     # -- synthesize: cache peek, then the owner shard -----------------
     async def handle_synthesize(self, body: Dict[str, Any],
                                 point: SweepJob,
-                                deadline_ms: Optional[float]
-                                ) -> Handled:
+                                deadline_ms: Optional[float],
+                                span: Any = None) -> Handled:
+        """Answer from the shared cache, else route to the owner shard.
+
+        ``span`` (the request's ``front.request`` span) is told which
+        tier answered: ``how="cached"`` when the cache peek did, else
+        ``how="routed"``.
+        """
         record = await self._cache_lookup(point.key)
+        if span is not None:
+            span.set(how="routed" if record is None else "cached")
         if record is not None:
             self.metrics.inc("front_cache_hits")
             job = Job(key=point.key, params=dict(point.params),
@@ -644,7 +652,7 @@ class FrontTier:
                 sp.set(design=str(body.get("design", ""))[:64],
                        key=point.key[:12])
                 return await self.handle_synthesize(body, point,
-                                                    deadline_ms)
+                                                    deadline_ms, sp)
             space, spec, points = catalog.sweep_jobs(body)
             sp.set(design=space.name, points=len(points))
             return await self.handle_sweep(

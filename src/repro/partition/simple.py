@@ -10,11 +10,15 @@ interchip connection (Theorem 3.1):
    other partitions;
 4. if a partition drives two partitions, it is the only driver of those
    two partitions.
+
+The driver relation and the verdict depend on the graph alone, so both
+are memoized on it (``Cdfg.memo``) and any graph mutation drops them;
+the public functions hand out copies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.cdfg.graph import Cdfg
 from repro.partition.model import OUTSIDE_WORLD
@@ -29,8 +33,16 @@ def driver_graph(graph: Cdfg,
     from ``a`` to ``b``.  The outside-world pseudo partition is excluded
     by default: transfers to/from the system's own pins use dedicated
     board wiring, not shared interchip buses, so it does not constrain
-    the Definition 3.2 classification.
+    the Definition 3.2 classification.  Both forms are derived once per
+    graph (one ``Cdfg.memo`` slot); each call returns a fresh copy.
     """
+    both = graph.memo("drivers", None, lambda: (_drivers(graph, False),
+                                                 _drivers(graph, True)))
+    return {part: set(dsts)
+            for part, dsts in both[bool(include_world)].items()}
+
+
+def _drivers(graph: Cdfg, include_world: bool) -> Dict[int, FrozenSet[int]]:
     drives: Dict[int, Set[int]] = {}
     for node in graph.io_nodes():
         src = node.source_partition
@@ -39,17 +51,31 @@ def driver_graph(graph: Cdfg,
             continue
         drives.setdefault(src, set()).add(dst)
         drives.setdefault(dst, set())
-    return drives
+    return {part: frozenset(dsts) for part, dsts in drives.items()}
+
+
+def invert_drivers(drives: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
+    """Invert a driver relation: partition -> the partitions driving it."""
+    out: Dict[int, Set[int]] = {p: set() for p in drives}
+    for src, dsts in drives.items():
+        for dst in dsts:
+            out.setdefault(dst, set()).add(src)
+    return out
 
 
 def simple_partitioning_violations(graph: Cdfg) -> List[str]:
-    """All reasons the partitioning is not simple (empty = simple)."""
+    """All reasons the partitioning is not simple (empty = simple).
+
+    Derived once per graph (a ``Cdfg.memo`` slot); each call returns a
+    fresh list.
+    """
+    return list(graph.memo("simple-partitioning", None,
+                           lambda: _violations(graph)))
+
+
+def _violations(graph: Cdfg) -> Tuple[str, ...]:
     drives = driver_graph(graph)
-    driven_by: Dict[int, Set[int]] = {p: set() for p in drives}
-    for src, dsts in drives.items():
-        for dst in dsts:
-            driven_by.setdefault(dst, set()).add(src)
-            driven_by.setdefault(src, set())
+    driven_by = invert_drivers(drives)
 
     problems: List[str] = []
     for part, dsts in sorted(drives.items()):
@@ -83,19 +109,20 @@ def simple_partitioning_violations(graph: Cdfg) -> List[str]:
                     problems.append(
                         f"partition {part} drives two partitions but "
                         f"{dst} is also driven by {sorted(others)}")
-    return problems
+    return tuple(problems)
 
 
 def is_simple_partitioning(graph: Cdfg) -> bool:
-    """Whether the partitioned CDFG satisfies Definition 3.2."""
+    """Whether the partitioned CDFG satisfies Definition 3.2.
+
+    Reads the memoized :func:`simple_partitioning_violations`, so a
+    graph is classified once until it is mutated.
+    """
     return not simple_partitioning_violations(graph)
 
 
 def fanout_fanin_shape(graph: Cdfg) -> Dict[int, Tuple[int, int]]:
     """Per-partition ``(#driven, #drivers)`` counts, for reporting."""
     drives = driver_graph(graph)
-    driven_by: Dict[int, Set[int]] = {p: set() for p in drives}
-    for src, dsts in drives.items():
-        for dst in dsts:
-            driven_by[dst].add(src)
+    driven_by = invert_drivers(drives)
     return {p: (len(drives[p]), len(driven_by[p])) for p in sorted(drives)}

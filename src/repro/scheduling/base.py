@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cdfg.analysis import TimingSpec, _EPS
 from repro.cdfg.graph import Cdfg, Node
-from repro.errors import SchedulingError
+from repro.errors import CdfgError, SchedulingError
 from repro.modules.allocation import ResourceVector
 from repro.scheduling.constraints import AllocationWheel
 
@@ -60,8 +60,16 @@ class Schedule:
         return self.step(name) % self.initiation_rate
 
     def finish_ns(self, name: str) -> float:
-        node = self.graph.node(name)
-        return self.start_ns[name] + self.timing.delay_ns(node)
+        delay = _delay(self._delays(), name)
+        return self.start_ns[name] + delay
+
+    def _delays(self) -> Dict[str, float]:
+        """Every node's delay under this timing: one ``Cdfg.memo`` slot,
+        keyed like :func:`repro.scheduling.list_scheduler.compile_design`
+        (an equal timing hits)."""
+        graph, timing = self.graph, self.timing
+        return graph.memo("delays", timing, lambda: {
+            node.name: timing.delay_ns(node) for node in graph.nodes()})
 
     def end_step(self, name: str) -> int:
         """Last control step occupied by the node."""
@@ -81,9 +89,11 @@ class Schedule:
             return 0
         period = self.timing.clock_period
         first = min(self.start_step.values())
+        delays = self._delays()
         last = 0.0
         for name in self.start_step:
-            last = max(last, self.finish_ns(name))
+            delay = _delay(delays, name)
+            last = max(last, self.start_ns[name] + delay)
         return int(math.ceil(last / period - _EPS)) - min(first, 0)
 
     def ops_in_group(self, group: int) -> List[str]:
@@ -213,6 +223,13 @@ def measured_resources(schedule: Schedule) -> ResourceVector:
             single[group_key] = single.get(group_key, 0) + 1
             usage[key] = max(usage.get(key, 0), single[group_key])
     return usage
+
+
+def _delay(delays: Dict[str, float], name: str) -> float:
+    try:
+        return delays[name]
+    except KeyError:
+        raise CdfgError(f"unknown node {name!r}") from None
 
 
 def _pipelined(timing: TimingSpec, node: Node) -> bool:

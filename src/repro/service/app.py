@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import asyncio
 import math
+import threading
 import time
 import uuid
 from typing import (Any, Awaitable, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.core.oracle_store import OracleStore, activate
+from repro.core.oracle_store import OracleStore, activate, get_active
 from repro.errors import ReproError
 from repro.explore.cache import open_result_cache
 from repro.explore.pareto import sweep_summary
@@ -69,6 +70,39 @@ COUNTER_NAMES = (
 )
 
 
+#: The oracle stores of this process's live services, oldest first,
+#: each beside the store it displaced when its service started.
+_LIVE_STORES: List[List[Optional[OracleStore]]] = []
+_LIVE_LOCK = threading.Lock()
+
+
+def _start_store(store: OracleStore) -> None:
+    """Activate a starting service's store process-wide."""
+    with _LIVE_LOCK:
+        _LIVE_STORES.append([store, activate(store)])
+
+
+def _stop_store(store: OracleStore) -> None:
+    """Retire a drained service's store, in any drain order.
+
+    A later live service inherits the store this one displaced, so a
+    live service's store is never replaced by a drained one; the last
+    live service to drain restores the store that was active before
+    the first of them started.
+    """
+    with _LIVE_LOCK:
+        for index, (live, displaced) in enumerate(_LIVE_STORES):
+            if live is store:
+                break
+        else:
+            return
+        del _LIVE_STORES[index]
+        if index < len(_LIVE_STORES):
+            _LIVE_STORES[index][1] = displaced
+        elif get_active() is store:
+            activate(displaced)
+
+
 class ShedRequest(ReproError):
     """Admission control rejected the request (HTTP 429)."""
 
@@ -95,7 +129,7 @@ class SynthesisService:
         # forked workers inherit the active store (warm, read-only from
         # the file's point of view) and ship back only their deltas.
         self.oracle = OracleStore(config.oracle_path)
-        self._previous_oracle = activate(self.oracle)
+        _start_store(self.oracle)
         self.pool = WorkerPool(workers=config.workers,
                                mode=config.pool_mode,
                                job_runner=config.job_runner)
@@ -362,7 +396,7 @@ class SynthesisService:
             await asyncio.gather(*list(self._tasks),
                                  return_exceptions=True)
         self.pool.shutdown()
-        activate(self._previous_oracle)
+        _stop_store(self.oracle)
 
 
 # ---------------------------------------------------------------------

@@ -15,9 +15,20 @@ import pytest
 
 from repro.cluster import (ClusterConfig, ShardAddress,
                            ThreadedCacheServer, ThreadedFrontTier)
+from repro.core import oracle_store
 from repro.service import (ServiceClient, ServiceConfig, ServiceError,
                            ServiceUnavailable, ShardIdentity,
                            ThreadedServer)
+
+
+@pytest.fixture(autouse=True)
+def oracle_store_left_as_found():
+    """Each test leaves the process-wide oracle store as it found it:
+    every shard activates its own store, and the shards drain in
+    start order."""
+    before = oracle_store.get_active()
+    yield
+    assert oracle_store.get_active() is before
 
 
 def canned_record(status="ok", pins=100):

@@ -282,6 +282,31 @@ class TestClusterHopBoundary:
                 child("service.execute", request)
             assert len({s["trace_id"] for s in roots.values()}) == 2
 
+    def test_front_request_names_the_tier_that_answered(self):
+        # The first request is routed to its owner shard; the repeat
+        # is answered by the front's shared-cache peek and routes
+        # nowhere.
+        enable_tracing()
+        with Cluster() as cluster:
+            client = ServiceClient(port=cluster.front.port)
+            first = client.synthesize("ar-simple", rate=3)
+            assert first["status"] == "ok"
+            again = client.synthesize("ar-simple", rate=3)
+            assert again["cached"] is True
+
+            grouped = spans_by_name(**{"front.request": 2,
+                                       "front.route": 1})
+            requests = sorted(grouped["front.request"],
+                              key=lambda s: s["start_ns"])
+            assert [s["attrs"].get("how") for s in requests] == \
+                ["routed", "cached"]
+            routes = grouped["front.route"]
+            children = [[r for r in routes
+                         if r["parent_id"] == s["span_id"]]
+                        for s in requests]
+            assert [len(c) for c in children] == [1, 0]
+            assert len(routes) == 1
+
     def test_metrics_exposition_on_both_tiers(self):
         with Cluster() as cluster:
             client = ServiceClient(port=cluster.front.port)

@@ -9,6 +9,7 @@ the test holds N requests in flight, inspects ``/metrics``, then lets
 the pool go.
 """
 
+import asyncio
 import importlib.util
 import json
 import os
@@ -16,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.core import oracle_store
 from repro.service import (ServiceClient, ServiceConfig, ServiceError,
                            ServiceUnavailable, ThreadedServer)
 
@@ -40,6 +42,14 @@ SCHEMA = json.loads(open(SCHEMA_PATH).read())
 def assert_schema(payload):
     problems = validate(payload, SCHEMA)
     assert not problems, problems
+
+
+@pytest.fixture(autouse=True)
+def oracle_store_left_as_found():
+    """Each test leaves the process-wide oracle store as it found it."""
+    before = oracle_store.get_active()
+    yield
+    assert oracle_store.get_active() is before
 
 
 # ---------------------------------------------------------------------
@@ -380,3 +390,89 @@ class TestDrain:
         assert server.service.metrics.counters["completed"] == 1
         with pytest.raises((OSError, ServiceError)):
             client.health()
+
+
+# ---------------------------------------------------------------------
+class TestOracleStoreAcrossServices:
+    """Each service activates its own oracle store; services in one
+    process (an in-process fleet's shards) may drain in any order."""
+
+    @staticmethod
+    def _service():
+        from repro.service.app import SynthesisService
+        return SynthesisService(ServiceConfig(workers=1,
+                                              pool_mode="thread"))
+
+    @pytest.mark.parametrize("order", ["start", "reverse", "middle"])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_any_drain_order_restores_the_first_displaced_store(
+            self, count, order):
+        before = oracle_store.get_active()
+        live = [self._service() for _ in range(count)]
+        assert oracle_store.get_active() is live[-1].oracle
+        drains = {"start": list(live), "reverse": live[::-1],
+                  "middle": live[1:2] + live[:1] + live[2:]}[order]
+        for service in drains:
+            asyncio.run(service.drain())
+            live.remove(service)
+            # The newest live service's store stays active; a drained
+            # store never replaces it.
+            expected = live[-1].oracle if live else before
+            assert oracle_store.get_active() is expected
+
+    def test_draining_twice_changes_nothing(self):
+        before = oracle_store.get_active()
+        first, second = self._service(), self._service()
+        asyncio.run(first.drain())
+        asyncio.run(first.drain())
+        assert oracle_store.get_active() is second.oracle
+        asyncio.run(second.drain())
+        assert oracle_store.get_active() is before
+
+    def test_concurrent_starts_and_drains(self):
+        """Stores started and retired from more threads than cores, at
+        a shortened switch interval, lose no update: the first
+        displaced store is active at the end."""
+        import sys
+
+        from repro.service import app
+
+        before = oracle_store.get_active()
+        barrier = threading.Barrier(8)
+
+        def cycle():
+            barrier.wait(10.0)
+            for _ in range(20000):
+                store = object()
+                app._start_store(store)
+                app._stop_store(store)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=cycle) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert oracle_store.get_active() is before
+
+    def test_store_is_active_before_the_pool_starts(self, monkeypatch):
+        from repro.service import app
+
+        seen = []
+
+        class RecordingPool(app.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                seen.append(oracle_store.get_active())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(app, "WorkerPool", RecordingPool)
+        service = self._service()
+        try:
+            assert seen == [service.oracle]
+        finally:
+            asyncio.run(service.drain())
