@@ -314,10 +314,12 @@ def synthesize(graph: Cdfg,
 
     ``pin_warm_basis`` hands the simple flow an earlier solve's
     ``result.warm_basis``, a
-    :class:`repro.core.pin_allocation.PinWarmStart` (a bare
-    :class:`repro.ilp.WarmBasis`, or its dict form, also works).  Its
-    basis warm-starts the pin checker's solver when compatible and is
-    ignored otherwise.  Its trajectory, the earlier solve's finished
+    :class:`repro.core.pin_allocation.PinWarmStart` or ``None``; the
+    simple flow raises :class:`TypeError` on anything else.  The
+    hand-off lives in memory only.  Its basis warm-starts the pin
+    checker's solver when this solve's budgets are a tightening of the
+    earlier solve's (each at most the earlier one) and is ignored
+    otherwise.  Its trajectory, the earlier solve's finished
     schedule, is adopted with no scheduling at all when every pin
     verdict provably carries over: same graph, rate, port pattern,
     timing, module vector and scheduler; the earlier schedule's pin

@@ -589,13 +589,6 @@ class PinWarmStart:
     basis: Optional[WarmBasis] = None
     trajectory: Optional[PinTrajectory] = None
 
-    @classmethod
-    def of(cls, value) -> "PinWarmStart":
-        """``value`` as a hand-off: a :class:`PinWarmStart` as is; a
-        bare :class:`WarmBasis`, its dict form or ``None`` as the
-        basis alone."""
-        return value if isinstance(value, cls) else cls(basis=value)
-
 
 class PinAllocationChecker:
     """IoHooks implementation: the bold boxes of Figure 3.4.
@@ -622,11 +615,13 @@ class PinAllocationChecker:
     --------------------
     Under a :class:`repro.robustness.budget.SolveBudget` the probe
     strategy forms a fallback chain: when the cutting planes exhaust
-    their budget share the checker latches onto exact branch & bound;
+    their iteration cap the checker latches onto exact branch & bound;
     when that exhausts too it latches onto the conservative
     LP-relaxation bound (sound "no", optimistic "yes" — the flow's
     design-rule check still verifies the final answer).  Every latch
-    is recorded on the ``diagnostics`` trail.
+    is recorded on the ``diagnostics`` trail.  An expired wall clock
+    latches nothing: the :class:`BudgetExhausted` propagates, since a
+    weaker rung could not finish on time either.
 
     Warm-start tier
     ---------------
@@ -644,19 +639,16 @@ class PinAllocationChecker:
     * ``warm_basis`` — a :class:`repro.ilp.WarmBasis` exported by a
       structurally identical parent solve.  Materialization tries
       :meth:`DualAllIntegerSolver.warm_start` first and falls back to a
-      cold build.  A warm tableau carries the parent's Gomory cuts,
-      which are valid certificates for "feasible" but not for
-      "infeasible" on the perturbed model — so the first infeasible
-      verdict from a warm tableau demotes it: the solver is rebuilt
-      cold (replaying committed bounds) and the probe re-asked, keeping
-      every answer bit-identical to a cold run.
+      cold build.  The warm start accepts only a tightening of the
+      parent's budgets, where the inherited Gomory cuts stay valid, so
+      a warm tableau's verdicts are exact like a cold one's.
     """
 
     def __init__(self, graph: Cdfg, partitioning: Partitioning,
                  initiation_rate: int, method: str = "gomory",
                  budget=None, diagnostics=None,
                  oracle_store: Optional[OracleStore] = None,
-                 warm_basis=None) -> None:
+                 warm_basis: Optional[WarmBasis] = None) -> None:
         if method not in ("gomory", "bnb"):
             raise IlpError(f"unknown method {method!r}")
         self.graph = graph
@@ -691,17 +683,10 @@ class PinAllocationChecker:
         self._problem: Optional[PinAllocationProblem] = None
         self._solver: Optional[DualAllIntegerSolver] = None
         self._ready = False
-        self._warm_active = False
         #: Store-proven commits awaiting replay onto a real tableau.
         self._pending: List[Tuple[str, int]] = []
-        #: Bounds already applied to the *current* tableau — a warm
-        #: demotion replays all of ``fixed`` at once, so later replay
-        #: loops must not commit the same bound twice.
-        self._applied: Dict[str, int] = {}
         self._export: Optional[WarmBasis] = None
-        if isinstance(warm_basis, dict):
-            warm_basis = WarmBasis.from_dict(warm_basis)
-        self._warm: Optional[WarmBasis] = warm_basis
+        self._warm = warm_basis
         store = oracle_store if oracle_store is not None else get_active()
         #: Private stores replicate the old per-checker memo exactly;
         #: shared ones add cross-solve and dominance answers.
@@ -745,13 +730,6 @@ class PinAllocationChecker:
             if self._warm is not None:
                 solver = DualAllIntegerSolver.warm_start(
                     problem.model, self._warm, budget=self.budget)
-            # "Active" here means *suspect*: inherited cuts certify
-            # feasible answers only.  A tightening warm start (new rhs
-            # <= parent rhs) keeps the cuts valid outright, so its
-            # verdicts need no confirmation.
-            self._warm_active = (solver is not None
-                                 and not getattr(solver, "warm_sound",
-                                                 True))
             if solver is None:
                 solver = DualAllIntegerSolver(problem.model,
                                               budget=self.budget)
@@ -761,7 +739,6 @@ class PinAllocationChecker:
                         "no feasible pin allocation exists for this "
                         "design (infeasible initial ILP, Section 3.3)")
             self._solver = solver
-            self._applied = {}
             self._store.record(init_key, self._budget_vec, True,
                                witness=self._witness_of(solver))
             # Capture the exportable basis now, before any committed
@@ -785,53 +762,15 @@ class PinAllocationChecker:
             return None
         return self.problem.usage_vector(values)
 
-    def _demote_warm(self) -> None:
-        """Replace a suspect warm tableau with a cold build.
-
-        Inherited cuts certify "feasible" but not "infeasible"; on the
-        first infeasible answer the warm tableau is thrown away, the
-        solver rebuilt from the pristine model, and every committed
-        bound replayed (each was proved feasible before commit, so the
-        replay succeeds unless the budget runs out).
-        """
-        PERF.inc("pin.warm_demotions")
-        self._warm_active = False
-        problem = self.problem
-        try:
-            solver = DualAllIntegerSolver(problem.model,
-                                          budget=self.budget)
-            if not solver.reoptimize():
-                raise InfeasibleError(
-                    "no feasible pin allocation exists for this "
-                    "design (infeasible initial ILP, Section 3.3)")
-            self._solver = solver
-            self._applied = {}
-            if not self.fixed:
-                self._export = solver.export_warm_basis()
-            for op, group in self.fixed.items():
-                solver.commit_lower_bound(problem.var(op, group))
-                self._applied[op] = group
-        except BudgetExhausted as exc:
-            self._degrade("bnb", exc)
-
     def _commit_to_solver(self, op: str, group: int) -> None:
         assert self._solver is not None
-        if op in self._applied:
-            return
         try:
             self._solver.commit_lower_bound(self.problem.var(op, group))
-            self._applied[op] = group
         except BudgetExhausted as exc:
             # The commit's re-optimization ran out of budget; the
             # tableau was rolled back, so abandon it and latch onto
             # branch & bound (``self.fixed`` carries the state).
             self._degrade("bnb", exc)
-        except InfeasibleError:
-            if not self._warm_active:
-                raise
-            # Spurious infeasibility from inherited cuts: rebuild cold
-            # (which replays every committed bound, this one included).
-            self._demote_warm()
 
     # -- IoHooks ---------------------------------------------------------
     def can_schedule(self, node: Node, step: int,
@@ -894,21 +833,6 @@ class PinAllocationChecker:
             var = self.problem.var(node.name, group)
             try:
                 verdict, values = self._solver.probe_lower_bound(var)
-                if not verdict and self._warm_active:
-                    # Suspect "no": a relaxed warm model inherits cuts
-                    # that may over-constrain.  Confirm cheaply — an
-                    # infeasible LP relaxation is a sound "no" and the
-                    # tableau survives; otherwise ask branch & bound
-                    # for the exact answer and demote the tableau only
-                    # if it provably lied.
-                    PERF.inc("pin.warm_confirms")
-                    if not self.problem.lp_relaxation_feasible(tentative):
-                        return False, True, None
-                    confirmed = self.problem.solve_with_fixed(
-                        tentative, budget=self.budget)
-                    if confirmed:
-                        self._demote_warm()
-                    return confirmed, True, None
                 witness = (self.problem.usage_vector(values)
                            if verdict and values is not None else None)
                 return verdict, True, witness
@@ -931,7 +855,11 @@ class PinAllocationChecker:
         return self.problem.lp_relaxation_feasible(tentative), False, None
 
     def _degrade(self, to: str, exc: BudgetExhausted) -> None:
-        """Latch onto a cheaper probe strategy for the rest of the run."""
+        """Latch onto a cheaper probe strategy for the rest of the run,
+        after an iteration cap; re-raise ``exc`` once the wall clock
+        has run out."""
+        if self.budget.deadline.expired():
+            raise exc
         frm = self.active_method
         self._degraded_method = to
         PERF.inc(f"pin.budget_fallback_{to}")

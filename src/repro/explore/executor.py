@@ -265,11 +265,12 @@ class Executor:
         rate or flow alters the ILP's *structure*, so those points
         cannot share a basis).  Within a chain, points run in
         *descending* ``pin_scale`` order: every successor is then a
-        tightening of its predecessor (component-wise smaller RHS), so
-        the inherited cut set stays valid outright and warm verdicts —
-        including "infeasible" — are sound without confirmation solves.
-        Infeasible verdicts proved at the larger budget also answer
-        smaller-budget oracle queries by dominance.
+        tightening of its predecessor (component-wise smaller RHS), the
+        only hand-off whose tableau basis the pin checker accepts (its
+        inherited cuts stay valid, so every warm verdict is exact); a
+        looser successor builds its tableau cold.  Infeasible verdicts
+        proved at the larger budget also answer smaller-budget oracle
+        queries by dominance.
         """
         groups: Dict[tuple, List[SweepJob]] = {}
         for job in pending:

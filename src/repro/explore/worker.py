@@ -205,11 +205,12 @@ def run_chain(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
 
     In warm mode the executor groups points that differ only in their
     pin budgets into a chain (ordered by *descending* ``pin_scale``, so
-    every step is a tightening and the inherited cuts stay sound) and
-    dispatches the whole chain to one worker, so each point inherits
-    its predecessor's warm hand-off (tableau basis and schedule
-    trajectory) without any serialization and the (inherited) oracle
-    store stays hot; a cold point is a chain of one.  The hand-off
+    every step is a tightening, the only kind of step whose inherited
+    tableau basis the pin checker accepts) and dispatches the whole
+    chain to one worker, so each point inherits its predecessor's warm
+    hand-off (tableau basis and schedule trajectory) without any
+    serialization and the (inherited) oracle store stays hot; a cold
+    point is a chain of one.  The hand-off
     never leaves this function.  The graph and timing
     are parsed again only when a point's graph dict or timing name
     differs from its predecessor's.

@@ -22,6 +22,10 @@ and roll back through the undo journal in O(touched) — the old
 ``snapshot()/restore()`` protocol cost O(rows x cols) Fraction copies
 per probe and dominated every scheduling run.  ``snapshot``/``restore``
 remain available for callers that need a detached deep copy.
+
+A solved initial tableau warm-starts a structure-identical sibling
+only when the sibling's rhs is a tightening of it (:class:`WarmBasis`):
+the inherited cuts then stay valid, so warm verdicts are exact.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import IlpError, InfeasibleError
 from repro.ilp.model import Model, Sense, Solution, SolveStatus, Var
@@ -151,13 +155,12 @@ class WarmBasis:
     taken after the first :meth:`DualAllIntegerSolver.reoptimize` and
     before any committed lower bounds — together with the parent's
     initial reduced rhs vector.  Restoring onto a new model whose
-    :func:`structure_signature` matches replays only the rhs deltas
-    through the initial rows' slack columns (every final tableau row is
-    the recorded linear combination of initial rows, and that
-    combination is rhs-independent), then resumes the cutting-plane
-    loop.  See DESIGN.md §12 for the soundness rules; all entries are
-    integers (the all-integer invariant), so the snapshot is JSON
-    round-trippable via :meth:`to_dict`.
+    :func:`structure_signature` matches and whose rhs is a tightening
+    of the parent's replays only the rhs deltas through the initial
+    rows' slack columns (every final tableau row is the recorded linear
+    combination of initial rows, and that combination is
+    rhs-independent), then resumes the cutting-plane loop.  Held in
+    memory only, never serialized (DESIGN.md §12).
     """
 
     signature: str
@@ -169,36 +172,6 @@ class WarmBasis:
     basis: List[int]
     cost_nums: Dict[int, int]
     cost_rhs: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "signature": self.signature,
-            "n_structural": self.n_structural,
-            "n_cols": self.n_cols,
-            "initial_rhs": list(self.initial_rhs),
-            "rows": [{str(j): v for j, v in row.items()}
-                     for row in self.rows],
-            "rhs": list(self.rhs),
-            "basis": list(self.basis),
-            "cost_nums": {str(j): v for j, v in self.cost_nums.items()},
-            "cost_rhs": self.cost_rhs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WarmBasis":
-        return cls(
-            signature=str(data["signature"]),
-            n_structural=int(data["n_structural"]),
-            n_cols=int(data["n_cols"]),
-            initial_rhs=[int(v) for v in data["initial_rhs"]],
-            rows=[{int(j): int(v) for j, v in row.items()}
-                  for row in data["rows"]],
-            rhs=[int(v) for v in data["rhs"]],
-            basis=[int(v) for v in data["basis"]],
-            cost_nums={int(j): int(v)
-                       for j, v in data["cost_nums"].items()},
-            cost_rhs=int(data["cost_rhs"]),
-        )
 
 
 class DualAllIntegerSolver:
@@ -288,19 +261,19 @@ class DualAllIntegerSolver:
 
         Accepts when ``model`` shares the parent's tableau structure
         (same variables, same row coefficient patterns — only reduced
-        rhs values may differ) **and** the resumed cutting-plane loop
+        rhs values may differ), its rhs is a tightening (every row's
+        rhs <= the parent's, so the parent's cuts stay valid and every
+        warm verdict is exact), **and** the resumed cutting-plane loop
         restores primal feasibility.  The rhs perturbation is replayed
         exactly: every final tableau row is a fixed linear combination
         of initial rows whose weights are the row's entries in the
         initial slack columns, so ``rhs[i] += delta_j * row[i][n + j]``.
 
-        Returns ``None`` — counting ``gomory.warm_rejected`` — on any
-        structure mismatch, on an iteration cap, or when the warm
-        tableau reoptimizes to *infeasible*: the parent's Gomory cuts
-        are valid for the new rhs only as one-sided evidence (a feasible
-        basis is a genuine integer point of the new system, but an
-        infeasible verdict may be an artifact of cuts derived for the
-        old rhs), so infeasibility must be re-proved cold.
+        Returns ``None`` — counting ``gomory.warm_rejected`` — on a
+        structure mismatch, a relaxation (cuts derived for the old rhs
+        may cut off the new model's integer points), an iteration cap
+        or budget exhaustion, or an infeasible warm tableau (the
+        caller's cold build then proves it).
         """
         PERF.inc("gomory.warm_attempts")
         try:
@@ -308,8 +281,11 @@ class DualAllIntegerSolver:
         except IlpError:
             PERF.inc("gomory.warm_rejected")
             return None
+        initial_rhs = [b for _coeffs, b in rows]
         if (len(rows) != len(warm.initial_rhs)
                 or len(model.vars) != warm.n_structural
+                or any(new_b > old_b for old_b, new_b
+                       in zip(warm.initial_rhs, initial_rhs))
                 or structure_signature(model, rows, cost)
                 != warm.signature):
             PERF.inc("gomory.warm_rejected")
@@ -324,14 +300,7 @@ class DualAllIntegerSolver:
         solver._shift_log = []
         solver.cuts_generated = 0
         solver.pivots = 0
-        solver._initial_rhs = [b for _coeffs, b in rows]
-        # Every initial row is <=-form with identical coefficients, so
-        # rhs <= parent rhs component-wise means the new feasible set
-        # is a *subset* of the parent's — the inherited cuts are then
-        # valid outright and even "infeasible" answers are sound.
-        solver.warm_sound = all(
-            new_b <= old_b for old_b, new_b
-            in zip(warm.initial_rhs, solver._initial_rhs))
+        solver._initial_rhs = initial_rhs
 
         nums = [dict(r) for r in warm.rows]
         rhs = list(warm.rhs)

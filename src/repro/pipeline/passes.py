@@ -164,7 +164,12 @@ class SchedulePinChecked:
 
     def run(self, ctx: FlowContext) -> None:
         backend = _resolved_backend(ctx, "simple")
-        warm = PinWarmStart.of(ctx.warm_basis)
+        warm = PinWarmStart() if ctx.warm_basis is None \
+            else ctx.warm_basis
+        if not isinstance(warm, PinWarmStart):
+            raise TypeError(
+                f"pin_warm_basis must be a PinWarmStart or None, got "
+                f"{type(warm).__name__}")
         context = (ctx.timing, dict(ctx.table.modules), backend.name)
         adopted = warm.trajectory
         if adopted is not None and adopted.carries_over(

@@ -204,10 +204,17 @@ class ResourceTable:
     @property
     def modules(self) -> ResourceVector:
         """The module vector, defaulted lazily to the rate-feasible
-        minimum (:func:`min_module_counts`) when none was given."""
+        minimum (:func:`min_module_counts`) when none was given.  The
+        minimum is memoized on the graph, keyed like
+        :func:`repro.scheduling.list_scheduler.compile_design` (the
+        rate and an equal timing); each table gets its own copy, since
+        a result hands this dict out as ``result.resources``."""
         if self._modules is None:
-            self._modules = min_module_counts(
-                self.graph, self.timing, self.initiation_rate)
+            graph, timing = self.graph, self.timing
+            rate = self.initiation_rate
+            self._modules = dict(graph.memo(
+                "min-modules", (rate, timing),
+                lambda: min_module_counts(graph, timing, rate)))
         return self._modules
 
     def set_modules(self, modules: ResourceVector) -> None:

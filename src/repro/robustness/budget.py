@@ -10,9 +10,9 @@ plane, a branch-&-bound node, a DFS step, a control step, an FDS move);
 when a cap or the deadline is hit the tick raises
 :class:`BudgetExhausted` carrying structured progress diagnostics.
 
-Iteration caps are checked exactly on every tick (so budget-starved
-runs are deterministic); the wall clock is only consulted every
-``time_check_stride`` ticks to keep the hot loops cheap.
+Iteration caps and the wall clock are both checked on every tick, so
+cap-starved runs are deterministic and a solver stops within one
+iteration of its deadline.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class SolveBudget:
     max_search_steps: Optional[int] = None   # connection-search DFS steps
     max_sched_steps: Optional[int] = None    # list-scheduler control steps
     max_fds_moves: Optional[int] = None      # force-directed placements
-    time_check_stride: int = 64              # ticks between clock reads
 
     def start(self, deadline: Optional[Deadline] = None) -> "BudgetToken":
         """Begin the clock; returns the cancellation token."""
@@ -108,8 +107,7 @@ PHASE_CAPS: Dict[str, str] = {
 class BudgetToken:
     """Mutable cancellation token shared by the solvers of one run."""
 
-    __slots__ = ("budget", "deadline", "counts", "incumbent",
-                 "_stride", "_until_check")
+    __slots__ = ("budget", "deadline", "counts", "incumbent")
 
     def __init__(self, budget: SolveBudget,
                  deadline: Optional[Deadline] = None) -> None:
@@ -118,8 +116,6 @@ class BudgetToken:
             else Deadline(budget.deadline_ms)
         self.counts: Dict[str, int] = {}
         self.incumbent: Optional[Dict[str, Any]] = None
-        self._stride = max(1, budget.time_check_stride)
-        self._until_check = 1  # check the clock on the very first tick
 
     # ------------------------------------------------------------------
     def child(self) -> "BudgetToken":
@@ -145,11 +141,8 @@ class BudgetToken:
             cap = getattr(self.budget, cap_field)
             if cap is not None and n > cap:
                 self._raise(phase)
-        self._until_check -= amount
-        if self._until_check <= 0:
-            self._until_check = self._stride
-            if self.deadline.expired():
-                self._raise(phase)
+        if self.deadline.expired():
+            self._raise(phase)
 
     def check(self, phase: str) -> None:
         """Unconditional wall-clock check (no iteration counted)."""

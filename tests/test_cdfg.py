@@ -344,6 +344,41 @@ class TestDerivedDataInvalidation:
         assert table(g, UnitTiming(cycles_by_op_type={"add": 2})) \
             is not unit
 
+    def test_min_module_counts_memo_key(self, monkeypatch):
+        """Keyed like the compiled design, handed out as a copy, and
+        dropped by a graph mutation."""
+        from repro.modules.library import ar_filter_timing
+        from repro.partition.model import uniform_partitioning
+        from repro.pipeline import resource_table
+
+        derived = []
+        count = resource_table.min_module_counts
+        monkeypatch.setattr(resource_table, "min_module_counts",
+                            lambda *args: derived.append(args)
+                            or count(*args))
+
+        def modules(g, timing, rate):
+            return resource_table.ResourceTable(
+                g, uniform_partitioning(2, 32, 32), timing, rate).modules
+
+        g = self._two_chips()
+        timing = ar_filter_timing()
+        first = modules(g, timing, 2)
+        assert first == {(1, "add"): 1, (2, "add"): 1}
+        first[(1, "add")] = 9  # result.resources is this very dict
+        assert modules(g, timing, 2) == {(1, "add"): 1, (2, "add"): 1}
+        assert len(derived) == 1
+        modules(g, timing, 3)
+        # DesignTiming has no value equality: another instance misses.
+        modules(g, ar_filter_timing(), 3)
+        assert len(derived) == 3
+        g.add_node(make_functional_node("c", "add", 1))
+        timing = ar_filter_timing()
+        assert modules(g, timing, 2) == {(1, "add"): 1, (2, "add"): 1}
+        g.add_node(make_functional_node("d", "add", 1))
+        assert modules(g, timing, 2) == {(1, "add"): 2, (2, "add"): 1}
+        assert len(derived) == 5
+
     def test_compiled_design_memo_key(self):
         """One slot: a hit needs the same rate and an equal timing."""
         from repro.cdfg.analysis import UnitTiming

@@ -3,11 +3,15 @@ diagnostics, and the budget threading through each solver."""
 
 import pytest
 
-from repro.designs import (AR_GENERAL_PINS_UNIDIR, ar_general_design)
+from repro import synthesize
+from repro.designs import (AR_GENERAL_PINS_UNIDIR, AR_SIMPLE_PINS,
+                           ar_general_design, ar_simple_design)
 from repro.core.connection_search import ConnectionSearch
+from repro.core.oracle_store import activate
 from repro.errors import ReproError
-from repro.ilp import Model, solve_ilp, solve_lp
+from repro.ilp import DualAllIntegerSolver, Model, solve_ilp, solve_lp
 from repro.modules.library import ar_filter_timing
+from repro.perf import PERF
 from repro.robustness import (BudgetExhausted, BudgetToken, Deadline,
                               DiagnosticEvent, Diagnostics, PHASE_CAPS,
                               SolveBudget, as_token)
@@ -85,18 +89,17 @@ class TestBudgetToken:
         with pytest.raises(BudgetExhausted):
             token.tick("connection_search")
 
-    def test_clock_checked_every_stride_ticks(self):
+    def test_first_tick_after_expiry_raises(self):
         clock = FakeClock()
         deadline = Deadline(10.0, clock=clock)
-        token = SolveBudget(deadline_ms=10.0,
-                            time_check_stride=8).start(deadline)
-        token.tick("fds")  # first tick reads the clock; not expired
+        token = SolveBudget(deadline_ms=10.0).start(deadline)
+        for _ in range(100):
+            token.tick("fds")  # not expired yet
         clock.advance(1.0)  # expire
-        for _ in range(7):
-            token.tick("fds")  # inside the stride: not noticed yet
         with pytest.raises(BudgetExhausted) as info:
-            token.tick("fds")  # stride boundary: clock read, expired
+            token.tick("fds")  # every tick reads the clock
         assert info.value.deadline_ms == 10.0
+        assert info.value.iterations == 101
 
     def test_check_is_unstrided(self):
         clock = FakeClock()
@@ -231,3 +234,56 @@ class TestSolverThreading:
     def test_unbudgeted_solvers_unchanged(self):
         result = solve_ilp(_tiny_model())
         assert result.objective == 2
+
+
+def _simple_ar(budget):
+    """ar-simple L2 through the simple flow on a private pin-oracle
+    store, so every pin probe runs a solver."""
+    previous = activate(None)
+    try:
+        return synthesize(ar_simple_design(), AR_SIMPLE_PINS,
+                          ar_filter_timing(), 2, flow="simple",
+                          budget=budget)
+    finally:
+        activate(previous)
+
+
+class TestPinCheckerLadder:
+    """The pin checker latches down its ladder on an iteration cap and
+    stops on an expired clock."""
+
+    def test_expired_clock_inside_gomory_raises(self, monkeypatch):
+        clock = FakeClock()
+        token = SolveBudget(deadline_ms=1000.0).start(
+            Deadline(1000.0, clock=clock))
+        probe = DualAllIntegerSolver.probe_lower_bound
+
+        def expiring_probe(self, var, amount=1):
+            clock.advance(2.0)  # the clock runs out inside this probe
+            return probe(self, var, amount)
+
+        monkeypatch.setattr(DualAllIntegerSolver, "probe_lower_bound",
+                            expiring_probe)
+        before = PERF.snapshot()
+        with pytest.raises(BudgetExhausted) as info:
+            _simple_ar(token)
+        counters = PERF.delta_since(before)["counters"]
+        assert info.value.phase == "gomory"
+        assert [e.phase for e in info.value.diagnostics.fallbacks()] == []
+        assert counters.get("simplex.solves", 0) == 0
+        assert counters.get("bnb.nodes", 0) == 0
+
+    def test_iteration_caps_latch_to_bnb_then_lp(self):
+        # The cold build's first solve takes 102 cutting-plane
+        # iterations; the first probe trips the cap.
+        result = _simple_ar(SolveBudget(max_gomory_iters=102,
+                                        max_bnb_nodes=1))
+        assert result.degraded
+        assert [(e.phase, e.detail["frm"], e.detail["to"],
+                 e.detail["iterations"], e.detail["counts"])
+                for e in result.diagnostics.fallbacks()] == [
+            ("pin_allocation", "gomory", "bnb", 103,
+             {"gomory": 103, "list_scheduler": 1}),
+            ("pin_allocation", "bnb", "lp", 2,
+             {"gomory": 103, "list_scheduler": 1, "bnb": 2,
+              "simplex": 1})]

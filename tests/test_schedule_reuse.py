@@ -9,6 +9,8 @@ verdict, or new budgets component-wise <= the ones it was proved at.
 Every answer must equal a cold solve's.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import synthesize
@@ -24,6 +26,7 @@ from repro.explore.worker import resolve_timing, run_job
 from repro.ilp import WarmBasis
 from repro.modules.library import ar_filter_timing
 from repro.partition.simple import is_simple_partitioning
+from repro.perf import PERF
 from repro.robustness import BudgetExhausted, SolveBudget
 
 
@@ -95,10 +98,17 @@ class TestArSimpleChains:
     def test_ascending_chain_reschedules_after_a_no_verdict(self):
         """1.0 rejected pin checks (latency 8, 264 pins); every looser
         point must reschedule, since a "no" at 1.0 says nothing there
-        (cold 1.25 gives 7 / 328)."""
+        (cold 1.25 gives 7 / 328).  Each looser point also refuses its
+        predecessor's basis and builds its tableau cold, so no verdict
+        needs branch & bound or an LP to confirm it."""
         graph, timing = ar_simple_design(), ar_filter_timing()
+        before = PERF.snapshot()
         chain = _chain(graph, AR_SIMPLE_PINS, timing, 2,
                        [1.0, 1.25, 1.5, 2.0])
+        counters = PERF.delta_since(before)["counters"]
+        assert counters.get("bnb.nodes", 0) == 0
+        assert counters.get("simplex.solves", 0) == 0
+        assert counters.get("gomory.warm_accepted", 0) == 0
         assert chain[0][1].warm_basis.trajectory.rejected
         for scale, warm, cold in chain:
             assert _answer(warm) == _answer(cold), scale
@@ -116,17 +126,18 @@ class TestArSimpleChains:
         assert _answer(warm) == _answer(cold)
         assert sum(warm.pins_used().values()) == 328
 
-    def test_bare_basis_and_its_dict_form_still_work(self):
+    def test_bare_basis_or_dict_is_a_type_error(self):
+        """The hand-off is a :class:`PinWarmStart` or nothing."""
         graph, timing = ar_simple_design(), ar_filter_timing()
         head = synthesize(graph, AR_SIMPLE_PINS, timing, 2, flow="simple")
+        assert isinstance(head.warm_basis, PinWarmStart)
         basis = head.warm_basis.basis
         assert isinstance(basis, WarmBasis)
-        for handed in (basis, basis.to_dict()):
-            result = synthesize(graph, AR_SIMPLE_PINS, timing, 2,
-                                flow="simple", pin_warm_basis=handed)
-            assert not _reused(result)
-            assert _answer(result) == _answer(head)
-            assert isinstance(result.warm_basis, PinWarmStart)
+        for handed, name in ((basis, "WarmBasis"),
+                             (dataclasses.asdict(basis), "dict")):
+            with pytest.raises(TypeError, match=name):
+                synthesize(graph, AR_SIMPLE_PINS, timing, 2,
+                           flow="simple", pin_warm_basis=handed)
 
 
 class TestKey:

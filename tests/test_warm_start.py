@@ -307,33 +307,36 @@ class TestCoveragePreservesAnswers:
 
 # ---------------------------------------------------------------------
 class TestWarmBasis:
-    def test_roundtrip_and_refusal_after_commit(self):
+    def test_export_refused_after_commit(self):
         m, xs = _packing_model(3, [2, 2])
         solver = DualAllIntegerSolver(m)
         assert solver.reoptimize()
-        warm = solver.export_warm_basis()
-        assert warm is not None
-        clone = type(warm).from_dict(
-            json.loads(json.dumps(warm.to_dict())))
-        assert clone == warm
+        assert solver.export_warm_basis() is not None
         # After a committed bound the tableau is parent-specific and
         # the export must refuse.
         solver.commit_lower_bound(xs[0, 0])
         assert solver.export_warm_basis() is None
 
-    def test_tightening_is_sound_relaxation_is_suspect(self):
+    def test_tightening_accepted_relaxation_refused(self):
         m, _ = _packing_model(3, [2, 2])
         parent = DualAllIntegerSolver(m)
         assert parent.reoptimize()
         warm = parent.export_warm_basis()
 
         tighter, _ = _packing_model(3, [2, 1])
-        ws = DualAllIntegerSolver.warm_start(tighter, warm)
-        assert ws is not None and ws.warm_sound
+        before = PERF.snapshot()
+        assert DualAllIntegerSolver.warm_start(tighter, warm) is not None
+        counters = PERF.delta_since(before)["counters"]
+        assert counters.get("gomory.warm_accepted", 0) == 1
 
+        # One rhs above the parent's: the inherited cuts may cut off
+        # the looser model's integer points, so it builds cold.
         looser, _ = _packing_model(3, [2, 3])
-        ws = DualAllIntegerSolver.warm_start(looser, warm)
-        assert ws is not None and not ws.warm_sound
+        before = PERF.snapshot()
+        assert DualAllIntegerSolver.warm_start(looser, warm) is None
+        counters = PERF.delta_since(before)["counters"]
+        assert counters.get("gomory.warm_rejected", 0) == 1
+        assert counters.get("gomory.warm_accepted", 0) == 0
 
     def test_structure_mismatch_rejected(self):
         m, _ = _packing_model(3, [2, 2])
@@ -352,16 +355,22 @@ class TestWarmBasis:
         assert parent.reoptimize()
         warm = parent.export_warm_basis()
         for caps in ([3, 2], [3, 1], [2, 2], [4, 3], [1, 1]):
-            sibling, _ = _packing_model(4, caps)
-            cold = DualAllIntegerSolver(sibling).check_feasible()
+            sibling, xs = _packing_model(4, caps)
+            cold_solver = DualAllIntegerSolver(sibling)
+            cold = cold_solver.check_feasible()
+            tightening = all(c <= p for c, p in zip(caps, [3, 2]))
             ws = DualAllIntegerSolver.warm_start(sibling, warm)
             if ws is None:
-                # Rejection is only allowed when the model really is
-                # infeasible (inherited cuts cannot prove it).
-                assert not cold, caps
-            else:
-                assert cold, caps
-
+                # Refused only for a relaxation or an infeasible
+                # sibling (which the cold build then proves).
+                assert not (tightening and cold), caps
+                continue
+            assert tightening and cold, caps
+            # Every verdict of the accepted tableau, "no" included, is
+            # the cold one.
+            for x in xs.values():
+                assert ws.try_lower_bound(x) \
+                    == cold_solver.try_lower_bound(x), (caps, x.name)
 
 # ---------------------------------------------------------------------
 def _solve_simple(store):
@@ -478,6 +487,48 @@ class TestWarmExecutorEqualsCold:
         assert warm == cold
         assert len(cold) == len(jobs)
         assert all(status == "ok" for status, _ in cold.values())
+
+    def test_warm_sweep_with_a_looser_point_equals_cold(self,
+                                                        monkeypatch):
+        """A ``pin_budgets`` axis keeps index order, so here the second
+        point is looser than the first: its warm hand-off's basis is
+        refused and the point builds cold, answering exactly as a cold
+        sweep does.  1.0x budgets reject pin checks, so the second
+        point cannot adopt the first one's schedule either."""
+        from repro.explore import worker
+
+        spec = SweepSpec(axes={"pin_budgets": [
+            {1: 48, 2: 48, 3: 32, 4: 32}, {1: 60, 2: 60, 3: 40, 4: 40}]},
+            base={"rate": 2, "flow": "simple"})
+        jobs = spec.expand(design_space("ar-simple"))
+        solve = worker.synthesize
+
+        def run(warm):
+            schedules = []
+
+            def recording(*args, **kwargs):
+                result = solve(*args, **kwargs)
+                schedules.append(result.schedule.start_step)
+                return result
+
+            monkeypatch.setattr(worker, "synthesize", recording)
+            before = PERF.snapshot()
+            points = Executor(
+                workers=1, cache=ResultCache(), warm=warm,
+                oracle_store=OracleStore() if warm else None,
+            ).run(jobs).points
+            counters = PERF.delta_since(before)["counters"]
+            answers = [(p["status"], p["metrics"]["total_pins"],
+                        p["metrics"]["latency"]) for p in points]
+            return answers, schedules, counters
+
+        cold, cold_schedules, _ = run(False)
+        warm, warm_schedules, counters = run(True)
+        assert [status for status, _, _ in cold] == ["ok", "ok"]
+        assert warm == cold
+        assert warm_schedules == cold_schedules
+        assert counters.get("gomory.warm_rejected", 0) == 1
+        assert counters.get("gomory.warm_accepted", 0) == 0
 
     def test_each_design_gets_its_own_chain(self):
         """Two designs at equal sweep params: one chain per design (a
